@@ -18,6 +18,7 @@ from .diffraction import (
     path_lengths,
     single_photon_fringe,
     transfer_amplitude,
+    transfer_coefficients,
     wavenumber,
 )
 from .fock import (

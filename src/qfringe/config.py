@@ -10,6 +10,7 @@ experiment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .diffraction import SlitGeometry, wavenumber
@@ -113,7 +114,13 @@ def _require_mapping(value, field: str) -> dict:
 def _require_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field} must be a number", field=field)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # json.loads accepts NaN and Infinity
+        raise ConfigError(f"{field} must be a finite number", field=field)
+    return number
 
 
 def _require_int(value, field: str) -> int:

@@ -63,6 +63,9 @@ class SlitGeometry:
                 slits.append((float(x), 0.0))
         if not slits:
             raise ValueError("geometry needs at least one slit")
+        coords = [*source, *(x for x, _ in slits), float(self.screen_z), float(self.k)]
+        if not all(math.isfinite(v) for v in coords):
+            raise ValueError("source, slits, screen_z and k must be finite")
         if len({x for x, _ in slits}) != len(slits):
             raise ValueError("slit points must be distinct")
         if not source[1] < 0.0:
@@ -104,27 +107,41 @@ def path_lengths(geom: SlitGeometry, x_detector: float) -> tuple[np.ndarray, np.
     return s, r
 
 
+def _slit_terms(geom: SlitGeometry, xs: np.ndarray) -> np.ndarray:
+    """Per-slit terms exp(ik(s_j + r_j)) / (s_j r_j), shape (points, slits).
+
+    Slit 0's phase is a common factor; leg differences from slit 0 avoid cancellation:
+    r_j - r_0 = (a_0 - a_j)(2x - a_j - a_0) / (r_j + r_0), s_j - s_0 likewise.
+    """
+    sx, sz = geom.source
+    a = np.array([x for x, _ in geom.slits])
+    x = xs[:, None]
+    s = np.sqrt((a - sx) ** 2 + sz**2)
+    r = np.sqrt((x - a) ** 2 + geom.screen_z**2)
+    zero = np.any((r == 0.0) | (s == 0.0), axis=1)
+    if np.any(zero):
+        raise DegenerateGeometryError(f"zero-length propagation leg at x_detector = {xs[zero][0]}")
+    ds = (a - a[0]) * (a + a[0] - 2.0 * sx) / (s + s[0])
+    dr = (a[0] - a) * (2.0 * x - a - a[0]) / (r + r[:, :1])
+    return np.exp(1j * geom.k * (s[0] + r[:, :1])) * (np.exp(1j * geom.k * (ds + dr)) / (s * r))
+
+
+def transfer_coefficients(geom: SlitGeometry, xs) -> np.ndarray:
+    """Complex transfer coefficient at each detector point, in one broadcast."""
+    return _slit_terms(geom, np.atleast_1d(np.asarray(xs, dtype=float))).sum(axis=1)
+
+
 def transfer_amplitude(geom: SlitGeometry, x_detector: float) -> TransferAmplitude:
-    s, r = path_lengths(geom, x_detector)
-    if np.any(s == 0.0) or np.any(r == 0.0):
-        raise DegenerateGeometryError(
-            f"zero-length propagation leg at x_detector = {x_detector}"
-        )
-    terms = tuple(
-        complex(np.exp(1j * geom.k * (sj + rj)) / (sj * rj)) for sj, rj in zip(s, r)
-    )
-    return TransferAmplitude(value=complex(sum(terms)), per_slit_terms=terms)
+    """One-point view of `transfer_coefficients`, with its per-slit terms."""
+    terms = tuple(complex(t) for t in _slit_terms(geom, np.array([float(x_detector)]))[0])
+    return TransferAmplitude(value=sum(terms), per_slit_terms=terms)
 
 
-def _mean_occupation(state: QuantumState) -> float:
-    n = np.diag(np.arange(state.dim, dtype=float)).astype(complex)
-    return expectation(state, n).real
-
-
-def intensity_expectation(state: QuantumState, geom: SlitGeometry, x_detector: float) -> float:
-    """Mean occupation at the detector point: |transfer|^2 times source occupation."""
-    amp = transfer_amplitude(geom, x_detector)
-    return abs(amp.value) ** 2 * _mean_occupation(state)
+def intensity_expectation(state: QuantumState, geom: SlitGeometry, x_detector):
+    """Mean occupation at the detector point(s): |transfer|^2 times source occupation."""
+    weights = np.abs(state.data) ** 2 if state.kind == "pure" else state.data.diagonal().real
+    values = np.abs(transfer_coefficients(geom, x_detector)) ** 2 * (np.arange(state.dim) @ weights)
+    return float(values[0]) if np.ndim(x_detector) == 0 else values
 
 
 def _require_two_slits(geom: SlitGeometry, name: str) -> None:
@@ -151,15 +168,12 @@ def single_photon_fringe(geom: SlitGeometry, x_detector, mode: str = "far_field"
     if mode == "far_field":
         values = np.array([_far_field_point(geom, x) for x in xs])
     elif mode == "exact":
-        photon = fock_state(FockSpace(2), 1)
-        raw = np.array([intensity_expectation(photon, geom, x) for x in xs])
+        raw = np.abs(transfer_coefficients(geom, xs)) ** 2
         peak = raw.max()
         values = raw / peak if peak > 0.0 else raw
     else:
         raise ValueError(f"mode must be 'far_field' or 'exact', got {mode!r}")
-    if np.ndim(x_detector) == 0:
-        return float(values[0])
-    return values
+    return float(values[0]) if np.ndim(x_detector) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -210,7 +224,7 @@ def fringe_scan(
     mode: str = "exact",
     state: QuantumState | None = None,
 ) -> FringeTable:
-    """Uniform scan of the screen; each row is computed independently.
+    """Uniform scan of the screen, computed by one `transfer_coefficients` call.
 
     The raw intensity column always carries the exact |transfer|^2 times the
     source occupation; the probability column is the selected fringe law
@@ -223,14 +237,12 @@ def fringe_scan(
     if state is None:
         state = fock_state(FockSpace(2), 1)
     xs = np.linspace(float(x_min), float(x_max), int(n_points))
-    raw = np.array([intensity_expectation(state, geom, x) for x in xs])
-    if mode == "far_field":
-        probs = single_photon_fringe(geom, xs, mode="far_field")
-    elif mode == "exact":
+    raw = intensity_expectation(state, geom, xs)
+    if mode == "exact":
         peak = raw.max()
         probs = raw / peak if peak > 0.0 else raw.copy()
     else:
-        raise ValueError(f"mode must be 'far_field' or 'exact', got {mode!r}")
+        probs = single_photon_fringe(geom, xs, mode=mode)
     return FringeTable(x=xs, probability=probs, raw_intensity=raw)
 
 

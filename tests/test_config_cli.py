@@ -291,6 +291,26 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("geometry", "screen_z", math.inf),
+        ("scan", "x_min", -math.inf),
+        ("geometry", "source", [math.nan, -1.0]),
+        ("geometry", "screen_z", 10**400),
+    ],
+    ids=["screen_z_infinity", "x_min_minus_infinity", "source_nan", "screen_z_beyond_float"],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, section, key, value):
+    out = tmp_path / "fringe.csv"
+    payload = dict(MINIMAL_FRINGE, output={"path": str(out)})
+    payload[section] = dict(payload[section], **{key: value})
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{section}.{key}" in err and "finite" in err
+    assert not out.exists()
+
+
 def test_cli_exit_code_missing_config(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "absent.json")]) == 3
     assert "i/o error" in capsys.readouterr().err

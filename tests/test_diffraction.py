@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -22,6 +23,7 @@ from qfringe import (
     single_photon_fringe,
     thermal_state,
     transfer_amplitude,
+    transfer_coefficients,
     wavenumber,
 )
 
@@ -65,6 +67,16 @@ def test_geometry_validation():
         SlitGeometry(source=(0.0, -1.0), slits=((1e-6, 0.5),), screen_z=1.0, k=1.0)
     geom = SlitGeometry(source=(0.0, -1.0), slits=((1e-6, 0.0), -1e-6), screen_z=1.0, k=1.0)
     assert geom.slits == ((1e-6, 0.0), (-1e-6, 0.0))
+    valid = dict(source=(0.0, -1.0), slits=(0.0,), screen_z=1.0, k=1.0)
+    for bad in (
+        dict(source=(math.nan, -1.0)),
+        dict(source=(0.0, -math.inf)),
+        dict(slits=(0.0, math.inf)),
+        dict(screen_z=math.inf),
+        dict(k=math.inf),
+    ):
+        with pytest.raises(ValueError):
+            SlitGeometry(**{**valid, **bad})
 
 
 def test_path_lengths_mirror_symmetry():
@@ -115,6 +127,44 @@ def test_transfer_amplitude_dark_point_ratio():
     bright = abs(transfer_amplitude(geom, 0.0).value) ** 2
     dark = abs(transfer_amplitude(geom, 0.025).value) ** 2
     assert dark / bright < 1e-4
+
+
+def mpmath_intensity(geom, x):
+    """|sum_j exp(ik(s_j + r_j)) / (s_j r_j)|^2 at 50 digits, from the same double inputs."""
+    with mpmath.workdps(50):
+        sx, sz = (mpmath.mpf(v) for v in geom.source)
+        x, z, k = mpmath.mpf(x), mpmath.mpf(geom.screen_z), mpmath.mpf(geom.k)
+        total = mpmath.mpc(0)
+        for a, _ in geom.slits:
+            s = mpmath.sqrt((a - sx) ** 2 + sz**2)
+            r = mpmath.sqrt((x - a) ** 2 + z**2)
+            total += mpmath.expj(k * (s + r)) / (s * r)
+        return float(abs(total) ** 2)
+
+
+@pytest.mark.parametrize(
+    "geom",
+    [
+        canonical_geometry(),
+        SlitGeometry(
+            source=(3e-5, -0.8), slits=(-5e-6, 5e-6), screen_z=1.3, k=wavenumber(WAVELENGTH)
+        ),
+        SlitGeometry(
+            source=(0.0, -1.0),
+            slits=tuple((j - 7.5) * 1e-5 for j in range(16)),
+            screen_z=1.0,
+            k=wavenumber(WAVELENGTH),
+        ),
+    ],
+    ids=["canonical", "off_axis_source", "sixteen_slits"],
+)
+def test_transfer_coefficients_match_mpmath_reference(geom):
+    # Subtracting two path lengths of about 1 m loses k * 1 m * 2^-52 ~ 3e-9 rad
+    # of relative phase; the kernel's cancellation-free leg differences do not.
+    xs = np.append(np.linspace(-0.02, 0.02, 9), 0.0123456789)
+    reference = np.array([mpmath_intensity(geom, x) for x in xs])
+    got = np.abs(transfer_coefficients(geom, xs)) ** 2
+    assert np.max(np.abs(got - reference)) <= 1e-14 * reference.max()
 
 
 def test_transfer_amplitude_sum_invariant():

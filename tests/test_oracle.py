@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qfringe
 from qfringe import (
     AmplitudeRecord,
     QuantumState,
@@ -112,6 +117,20 @@ def test_heisenberg_conjugate_matches_direct_product():
     assert np.max(np.abs(heisenberg_conjugate(op, h, 0.8) - u.conj().T @ op @ u)) < 1e-13
 
 
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg is imported by picture_equivalence_check only, so fringe and
+    # qubit runs do not pay for it at start-up.
+    src = str(Path(qfringe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, qfringe; print(qfringe.__file__); print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded_from, scipy_loaded = result.stdout.split()
+    assert Path(loaded_from).resolve() == Path(qfringe.__file__).resolve()
+    assert scipy_loaded == "False"
+
+
 def test_slit_mode_oracle_symmetric_point():
     assert slit_mode_oracle(canonical_geometry(), 0.0) == pytest.approx(1.0, abs=1e-14)
 
@@ -137,6 +156,21 @@ def test_slit_mode_oracle_matches_heisenberg_scan():
     oracle_vals = slit_mode_oracle(geom, xs)
     heisenberg = single_photon_fringe(geom, xs, mode="far_field")
     assert np.max(np.abs(oracle_vals - heisenberg)) < 1e-10
+
+
+def test_slit_mode_oracle_legs_round_as_far_field_law():
+    # At these two points of a 20,001-point scan, x * x and the C library's
+    # pow(x, 2) round (x - a)^2 differently enough to move a 1.7 m leg by one
+    # ulp, which shifts the fringe by about 1.5e-9.
+    geom = SlitGeometry(
+        source=(-2.6092737879558663e-05, -0.503734242052076),
+        slits=(-3.337267487495878e-06, 2.9986060786656923e-06),
+        screen_z=1.7450715947026183,
+        k=wavenumber(4.4633832431843195e-07),
+    )
+    xs = np.linspace(-0.2313511265863337, 0.2694448922999419, 20001)[[2856, 15085]]
+    far_field = single_photon_fringe(geom, xs, mode="far_field")
+    assert np.max(np.abs(slit_mode_oracle(geom, xs) - far_field)) < 1e-10
 
 
 def test_slit_mode_oracle_matches_fermionic_scan():

@@ -1,0 +1,115 @@
+"""Property tests of the slit layer over random geometries and source states.
+
+Examples are drawn with a fixed seed (derandomize) so every run of the suite
+checks the same cases.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qfringe import (
+    FockSpace,
+    QuantumState,
+    SlitGeometry,
+    coherent_state,
+    fock_state,
+    fringe_scan,
+    intensity_expectation,
+    single_photon_fringe,
+    slit_mode_oracle,
+    thermal_state,
+    wavenumber,
+)
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+CUTOFF = 12
+
+
+@st.composite
+def slit_scans(draw, slit_counts=st.integers(1, 8), symmetric=False):
+    """A geometry and a scan half-width of a few fringe periods.
+
+    Slits sit on a jittered grid with a pitch of 2-50 um; with symmetric=True
+    the slits are mirrored about x = 0 and the source sits on the axis.
+    """
+    n = draw(slit_counts)
+    pitch = draw(st.floats(2e-6, 5e-5))
+    wavelength = draw(st.floats(400e-9, 700e-9))
+    screen_z = draw(st.floats(0.5, 2.0))
+    jitter = draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n))
+    if symmetric:
+        half = [(j + 0.5 + jitter[j]) * pitch for j in range(n)]
+        slits = tuple(-x for x in half) + tuple(half)
+        source = (0.0, -draw(st.floats(0.2, 2.0)))
+    else:
+        slits = tuple((j - (n - 1) / 2 + jitter[j]) * pitch for j in range(n))
+        source = (draw(st.floats(-1e-4, 1e-4)), -draw(st.floats(0.2, 2.0)))
+    geom = SlitGeometry(source=source, slits=slits, screen_z=screen_z, k=wavenumber(wavelength))
+    periods = draw(st.floats(0.5, 3.0))
+    return geom, periods * wavelength * screen_z / pitch
+
+
+@st.composite
+def pure_states(draw):
+    parts = st.lists(st.floats(-1.0, 1.0), min_size=CUTOFF, max_size=CUTOFF)
+    vec = np.array(draw(parts)) + 1j * np.array(draw(parts))
+    norm = np.linalg.norm(vec)
+    assume(norm > 1e-3)
+    return QuantumState("pure", vec / norm)
+
+
+source_states = st.one_of(
+    st.integers(1, CUTOFF - 1).map(lambda n: fock_state(FockSpace(CUTOFF), n)),
+    st.floats(0.1, 1.5).map(lambda alpha: coherent_state(FockSpace(CUTOFF), alpha)),
+    st.floats(0.05, 2.0).map(lambda nbar: thermal_state(FockSpace(CUTOFF), nbar)),
+    pure_states(),
+)
+
+
+@PROPERTY
+@given(slit_scans(), source_states)
+def test_exact_probabilities_lie_in_unit_interval(scan, state):
+    geom, half_width = scan
+    probs = fringe_scan(geom, -half_width, half_width, 201, mode="exact", state=state).probability
+    assert probs.min() >= 0.0
+    assert probs.max() == 1.0
+    if geom.slit_count == 2:
+        xs = np.linspace(-half_width, half_width, 201)
+        single = single_photon_fringe(geom, xs, mode="exact")
+        assert 0.0 <= single.min() and single.max() == 1.0
+
+
+@PROPERTY
+@given(slit_scans(slit_counts=st.integers(1, 4), symmetric=True), source_states)
+def test_symmetric_geometry_gives_mirror_symmetric_pattern(scan, state):
+    geom, half_width = scan
+    xs = np.linspace(0.0, half_width, 101)
+    right = intensity_expectation(state, geom, xs)
+    left = intensity_expectation(state, geom, -xs)
+    assert np.max(np.abs(right - left)) <= 1e-12 * right.max()
+
+
+@PROPERTY
+@given(slit_scans(), pure_states(), st.floats(0.05, 2.0), st.floats(0.0, 1.0))
+def test_intensity_is_linear_in_state_mixtures(scan, pure, nbar, p):
+    geom, half_width = scan
+    warm = thermal_state(FockSpace(CUTOFF), nbar)
+    rho = p * np.outer(pure.data, pure.data.conj()) + (1 - p) * warm.data
+    mixture = QuantumState("mixed", rho)
+    xs = np.linspace(-half_width, half_width, 51)
+    combined = intensity_expectation(mixture, geom, xs)
+    parts = p * intensity_expectation(pure, geom, xs)
+    parts += (1 - p) * intensity_expectation(warm, geom, xs)
+    assert np.max(np.abs(combined - parts)) <= 1e-12 * parts.max()
+
+
+@PROPERTY
+@given(slit_scans(slit_counts=st.just(2)))
+def test_batched_slit_mode_oracle_matches_points_and_far_field_law(scan):
+    geom, half_width = scan
+    xs = np.linspace(-half_width, half_width, 41)
+    batched = slit_mode_oracle(geom, xs)
+    points = np.array([slit_mode_oracle(geom, x) for x in xs])
+    assert np.max(np.abs(batched - points)) <= 1e-10
+    assert np.max(np.abs(batched - single_photon_fringe(geom, xs, mode="far_field"))) <= 1e-10
