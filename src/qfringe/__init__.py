@@ -11,13 +11,10 @@ from .diffraction import (
     DegenerateGeometryError,
     FringeTable,
     SlitGeometry,
-    TransferAmplitude,
-    fermionic_fringe,
     fringe_scan,
     intensity_expectation,
     path_lengths,
     single_photon_fringe,
-    transfer_amplitude,
     transfer_coefficients,
     wavenumber,
 )
@@ -42,6 +39,7 @@ from .oracle import (
     AmplitudeRecord,
     VerificationCheck,
     amplitude_variation_check,
+    fermionic_fringe,
     picture_equivalence_check,
     run_verification_suite,
     schrodinger_evolve,

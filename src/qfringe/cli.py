@@ -30,9 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the far-field fringe law instead of the exact intensity",
     )
-    parser.add_argument(
-        "--seed", type=int, help="reserved for future stochastic features; accepted and unused"
-    )
     return parser
 
 

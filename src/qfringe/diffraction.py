@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, QuantumState, dagger, expectation, fermionic_mode_ops, fock_state
+from .fock import FockSpace, QuantumState, fock_state
 from .tableio import csv_text, json_document
 
 
@@ -84,35 +84,29 @@ class SlitGeometry:
         return len(self.slits)
 
 
-@dataclass(frozen=True)
-class TransferAmplitude:
-    """Complex coefficient relating the source operator to the detector point."""
+def path_lengths(geom: SlitGeometry, x_detector) -> tuple[np.ndarray, np.ndarray]:
+    """Exact distances source -> slit_j and slit_j -> (x_detector, screen_z).
 
-    value: complex
-    per_slit_terms: tuple[complex, ...]
-
-    def __post_init__(self):
-        total = sum(self.per_slit_terms)
-        scale = max(abs(self.value), abs(total), 1e-300)
-        if abs(self.value - total) > 1e-14 * scale:
-            raise ValueError("value must equal the sum of per-slit terms")
-
-
-def path_lengths(geom: SlitGeometry, x_detector: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact distances source -> slit_j and slit_j -> (x_detector, screen_z)."""
+    s has shape (slits,), r has shape np.shape(x_detector) + (slits,). Squares go
+    through np.float_power (C pow, as Python's **), so every leg rounds the same
+    whether the points come one at a time or as an array.
+    """
     sx, sz = geom.source
-    x_d = float(x_detector)
-    s = np.array([math.sqrt((x - sx) ** 2 + sz**2) for x, _ in geom.slits])
-    r = np.array([math.sqrt((x_d - x) ** 2 + geom.screen_z**2) for x, _ in geom.slits])
+    a = np.array([x for x, _ in geom.slits])
+    s = np.sqrt(np.float_power(a - sx, 2) + sz**2)
+    x = np.asarray(x_detector, dtype=float)[..., None]
+    r = np.sqrt(np.float_power(x - a, 2) + geom.screen_z**2)
     return s, r
 
 
-def _slit_terms(geom: SlitGeometry, xs: np.ndarray) -> np.ndarray:
-    """Per-slit terms exp(ik(s_j + r_j)) / (s_j r_j), shape (points, slits).
+def transfer_coefficients(geom: SlitGeometry, xs) -> np.ndarray:
+    """Complex transfer coefficient sum_j exp(ik(s_j + r_j)) / (s_j r_j) at each point.
 
-    Slit 0's phase is a common factor; leg differences from slit 0 avoid cancellation:
+    One (points, slits) broadcast. Slit 0's phase is a common factor; leg differences
+    from slit 0 avoid cancellation:
     r_j - r_0 = (a_0 - a_j)(2x - a_j - a_0) / (r_j + r_0), s_j - s_0 likewise.
     """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     sx, sz = geom.source
     a = np.array([x for x, _ in geom.slits])
     x = xs[:, None]
@@ -123,18 +117,8 @@ def _slit_terms(geom: SlitGeometry, xs: np.ndarray) -> np.ndarray:
         raise DegenerateGeometryError(f"zero-length propagation leg at x_detector = {xs[zero][0]}")
     ds = (a - a[0]) * (a + a[0] - 2.0 * sx) / (s + s[0])
     dr = (a[0] - a) * (2.0 * x - a - a[0]) / (r + r[:, :1])
-    return np.exp(1j * geom.k * (s[0] + r[:, :1])) * (np.exp(1j * geom.k * (ds + dr)) / (s * r))
-
-
-def transfer_coefficients(geom: SlitGeometry, xs) -> np.ndarray:
-    """Complex transfer coefficient at each detector point, in one broadcast."""
-    return _slit_terms(geom, np.atleast_1d(np.asarray(xs, dtype=float))).sum(axis=1)
-
-
-def transfer_amplitude(geom: SlitGeometry, x_detector: float) -> TransferAmplitude:
-    """One-point view of `transfer_coefficients`, with its per-slit terms."""
-    terms = tuple(complex(t) for t in _slit_terms(geom, np.array([float(x_detector)]))[0])
-    return TransferAmplitude(value=sum(terms), per_slit_terms=terms)
+    terms = np.exp(1j * geom.k * (s[0] + r[:, :1])) * (np.exp(1j * geom.k * (ds + dr)) / (s * r))
+    return terms.sum(axis=1)
 
 
 def intensity_expectation(state: QuantumState, geom: SlitGeometry, x_detector):
@@ -142,17 +126,6 @@ def intensity_expectation(state: QuantumState, geom: SlitGeometry, x_detector):
     weights = np.abs(state.data) ** 2 if state.kind == "pure" else state.data.diagonal().real
     values = np.abs(transfer_coefficients(geom, x_detector)) ** 2 * (np.arange(state.dim) @ weights)
     return float(values[0]) if np.ndim(x_detector) == 0 else values
-
-
-def _require_two_slits(geom: SlitGeometry, name: str) -> None:
-    if geom.slit_count != 2:
-        raise ValueError(f"{name} requires exactly 2 slits, got {geom.slit_count}")
-
-
-def _far_field_point(geom: SlitGeometry, x_detector: float) -> float:
-    _, r = path_lengths(geom, x_detector)
-    delta = r[0] - r[1]
-    return 0.5 * (1.0 + math.cos(geom.k * delta))
 
 
 def single_photon_fringe(geom: SlitGeometry, x_detector, mode: str = "far_field"):
@@ -167,10 +140,12 @@ def single_photon_fringe(geom: SlitGeometry, x_detector, mode: str = "far_field"
     exact: full intensity on |1>, normalized to its maximum over the supplied
     detector points (so array input defines the scan it is normalized on).
     """
-    _require_two_slits(geom, "single_photon_fringe")
+    if geom.slit_count != 2:
+        raise ValueError(f"single_photon_fringe requires exactly 2 slits, got {geom.slit_count}")
     xs = np.atleast_1d(np.asarray(x_detector, dtype=float))
     if mode == "far_field":
-        values = np.array([_far_field_point(geom, x) for x in xs])
+        _, r = path_lengths(geom, xs)
+        values = 0.5 * (1.0 + np.cos(geom.k * (r[:, 0] - r[:, 1])))
     elif mode == "exact":
         raw = np.abs(transfer_coefficients(geom, xs)) ** 2
         peak = raw.max()
@@ -248,38 +223,3 @@ def fringe_scan(
     else:
         probs = single_photon_fringe(geom, xs, mode=mode)
     return FringeTable(x=xs, probability=probs, raw_intensity=raw)
-
-
-def fermionic_fringe(geom: SlitGeometry, x_detector):
-    """Two-slit fringe carried by anticommuting slit modes.
-
-    The two slit modes hold one shared excitation, (|0,1> + |1,0>)/sqrt(2);
-    the detector mode is the normalized combination of the per-slit transfer
-    terms. Returns the expected detector occupation, which reproduces the
-    bosonic single-photon fringe.
-    """
-    _require_two_slits(geom, "fermionic_fringe")
-    ops, space = fermionic_mode_ops(2)
-    vec = np.zeros(space.dim, dtype=complex)
-    vec[space.index((0, 1))] = 1.0 / math.sqrt(2.0)
-    vec[space.index((1, 0))] = 1.0 / math.sqrt(2.0)
-    state = QuantumState("pure", vec)
-    xs = np.atleast_1d(np.asarray(x_detector, dtype=float))
-    values = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        s, r = path_lengths(geom, x)
-        if np.any(s == 0.0) or np.any(r == 0.0):
-            raise DegenerateGeometryError(
-                f"zero-length propagation leg at x_detector = {x}"
-            )
-        # The detector mode is defined up to a global phase; dropping the
-        # shortest leg of each stage keeps exp() arguments small so the
-        # relative phase between the slits survives in double precision.
-        t = np.exp(1j * geom.k * ((s - s.min()) + (r - r.min()))) / (s * r)
-        detector = (t[0] * ops[0] + t[1] * ops[1]) / math.sqrt(
-            float(np.sum(np.abs(t) ** 2))
-        )
-        values[i] = expectation(state, dagger(detector) @ detector).real
-    if np.ndim(x_detector) == 0:
-        return float(values[0])
-    return values

@@ -89,19 +89,20 @@ def picture_equivalence_check(op: np.ndarray, state, h: np.ndarray, t: float) ->
     return abs(lhs - rhs)
 
 
-def slit_mode_oracle(geom: diffraction.SlitGeometry, x_detector):
-    """Schrodinger-picture two-slit model with one shared excitation.
+def _shared_excitation_fringe(geom: diffraction.SlitGeometry, x_detector, modes):
+    """Expected detector occupation of two slit modes that share one excitation.
 
-    The slit modes hold (|0,1> + |1,0>)/sqrt(2); the detector mode at each point
-    is the normalized combination of the slit operators weighted by the slit-to-
-    detector legs, one (4, 4) operator per point. Returns the expected occupation.
+    The slit modes hold (|0,1> + |1,0>)/sqrt(2), in the row-major basis |0,0>, |0,1>,
+    |1,0>, |1,1>; the detector mode at each point is the normalized combination of
+    the two slit operators in `modes`, weighted by the slit-to-detector legs, one
+    (4, 4) operator per point. The slits share the excitation in phase (no source
+    legs), as in the far-field fringe law. Returns the expected detector occupation.
     """
     if geom.slit_count != 2:
-        raise ValueError(f"slit_mode_oracle requires exactly 2 slits, got {geom.slit_count}")
-    space = FockSpace(cutoff=2, mode_count=2)
-    psi = (fock_state(space, (0, 1)).data + fock_state(space, (1, 0)).data) / math.sqrt(2.0)
+        raise ValueError(f"the slit-mode model requires exactly 2 slits, got {geom.slit_count}")
+    psi = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
     xs = np.atleast_1d(np.asarray(x_detector, dtype=float))
-    # float_power squares with C pow, like ** in path_lengths: legs round as the far-field law's.
+    # float_power squares with C pow, like path_lengths: legs round as the far-field law's.
     r = np.sqrt(np.float_power(xs[:, None] - np.array(geom.slits)[:, 0], 2) + geom.screen_z**2)
     zero = np.any(r == 0.0, axis=1)
     if np.any(zero):
@@ -111,10 +112,24 @@ def slit_mode_oracle(geom: diffraction.SlitGeometry, x_detector):
     # The detector mode is defined up to a global phase; dropping it keeps exp() arguments small.
     weights = np.exp(1j * geom.k * (r - r.min(axis=1, keepdims=True))) / r
     weights /= np.sqrt(np.sum(np.abs(weights) ** 2, axis=1, keepdims=True))
-    modes = np.stack([annihilation_op(space, 0), annihilation_op(space, 1)])
-    detectors = np.einsum("nm,mij->nij", weights, modes)
+    detectors = np.einsum("nm,mij->nij", weights, np.stack(modes))
     values = np.einsum("i,nji,njk,k->n", psi.conj(), detectors.conj(), detectors, psi).real
     return float(values[0]) if np.ndim(x_detector) == 0 else values
+
+
+def slit_mode_oracle(geom: diffraction.SlitGeometry, x_detector):
+    """Schrodinger-picture two-slit fringe: bosonic slit modes sharing one excitation."""
+    modes = [annihilation_op(FockSpace(cutoff=2, mode_count=2), m) for m in (0, 1)]
+    return _shared_excitation_fringe(geom, x_detector, modes)
+
+
+def fermionic_fringe(geom: diffraction.SlitGeometry, x_detector):
+    """Two-slit fringe carried by anticommuting slit modes sharing one excitation.
+
+    The same model as `slit_mode_oracle` with Jordan-Wigner slit modes, so it
+    reproduces the bosonic single-photon fringe.
+    """
+    return _shared_excitation_fringe(geom, x_detector, fermionic_mode_ops(2)[0])
 
 
 def transition_probability_oracle(params: qubit.QubitModelParams, t: float) -> float:
@@ -270,7 +285,7 @@ def run_verification_suite() -> list[VerificationCheck]:
     checks.append(
         _check(
             "fermionic_vs_bosonic_fringe",
-            np.max(np.abs(diffraction.fermionic_fringe(geom, xs) - fringe)),
+            np.max(np.abs(fermionic_fringe(geom, xs) - fringe)),
             1e-10,
         )
     )

@@ -322,23 +322,28 @@ def test_cli_exit_code_unwritable_output(tmp_path):
     assert main(["--config", config_path, "--output", target]) == 3
 
 
-def test_cli_exit_code_degenerate_geometry(tmp_path, monkeypatch):
-    import qfringe.runner as runner_module
-    from qfringe.diffraction import DegenerateGeometryError
+def test_cli_exit_code_degenerate_geometry(tmp_path, capsys):
+    # A valid config: screen_z**2 underflows to 0, so the scan point on the
+    # slit at +5 um gets a zero-length leg.
+    for experiment in ("fringe", "compare"):
+        out = tmp_path / f"{experiment}.csv"
+        payload = {
+            "experiment": experiment,
+            "geometry": {"slits": [-5e-6, 5e-6], "screen_z": 1e-200, "wavelength": 500e-9},
+            "scan": {"x_min": 0.0, "x_max": 5e-6, "n_points": 3},
+            "output": {"path": str(out)},
+        }
+        for flags in ([], ["--far-field"]):
+            assert main(["--config", write_config(tmp_path, payload), *flags]) == 4
+            assert "zero-length propagation leg" in capsys.readouterr().err
+            assert not out.exists()
 
-    def explode(config):
-        raise DegenerateGeometryError("forced for the exit-code contract")
 
-    monkeypatch.setattr(runner_module, "_fringe_text", explode)
-    config_path = write_config(tmp_path, dict(MINIMAL_FRINGE))
-    assert main(["--config", config_path]) == 4
-
-
-def test_cli_seed_accepted(tmp_path):
-    out = tmp_path / "seeded.csv"
-    payload = dict(MINIMAL_FRINGE, output={"path": str(out)})
-    assert main(["--config", write_config(tmp_path, payload), "--seed", "42"]) == 0
-    assert out.exists()
+def test_cli_rejects_seed_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--config", write_config(tmp_path, MINIMAL_FRINGE), "--seed", "42"])
+    assert excinfo.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_run_rejects_far_field_with_many_slits(tmp_path):

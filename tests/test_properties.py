@@ -4,6 +4,8 @@ Examples are drawn with a fixed seed (derandomize) so every run of the suite
 checks the same cases.
 """
 
+import math
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from qfringe import (
     QuantumState,
     SlitGeometry,
     coherent_state,
+    fermionic_fringe,
     fock_state,
     fringe_scan,
     intensity_expectation,
@@ -104,6 +107,15 @@ def test_intensity_is_linear_in_state_mixtures(scan, pure, nbar, p):
     assert np.max(np.abs(combined - parts)) <= 1e-12 * parts.max()
 
 
+def far_field_point(geom, x):
+    """The far-field law at one point in scalar math, as the per-point loop computed it."""
+    (a0, _), (a1, _) = geom.slits
+    x = float(x)
+    r0 = math.sqrt((x - a0) ** 2 + geom.screen_z**2)
+    r1 = math.sqrt((x - a1) ** 2 + geom.screen_z**2)
+    return 0.5 * (1.0 + math.cos(geom.k * (r0 - r1)))
+
+
 @PROPERTY
 @given(slit_scans(slit_counts=st.just(2)))
 def test_batched_slit_mode_oracle_matches_points_and_far_field_law(scan):
@@ -112,4 +124,8 @@ def test_batched_slit_mode_oracle_matches_points_and_far_field_law(scan):
     batched = slit_mode_oracle(geom, xs)
     points = np.array([slit_mode_oracle(geom, x) for x in xs])
     assert np.max(np.abs(batched - points)) <= 1e-10
-    assert np.max(np.abs(batched - single_photon_fringe(geom, xs, mode="far_field"))) <= 1e-10
+    far_field = single_photon_fringe(geom, xs, mode="far_field")
+    assert np.max(np.abs(batched - far_field)) <= 1e-10
+    assert np.array_equal(far_field, [single_photon_fringe(geom, x, mode="far_field") for x in xs])
+    assert np.array_equal(far_field, [far_field_point(geom, x) for x in xs])
+    assert np.max(np.abs(fermionic_fringe(geom, xs) - batched)) <= 1e-10
