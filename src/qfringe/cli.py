@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 I/O failure, 4 degenerate-geometry computation error.
+3 I/O failure, 4 non-finite or degenerate result (no file is written).
 """
 
 from __future__ import annotations

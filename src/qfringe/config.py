@@ -329,6 +329,10 @@ def parse_config(text: str) -> RunConfig:
     qubit_spec = _parse_qubit(
         _require_mapping(raw["qubit"], "qubit") if "qubit" in raw else None
     )
+    if experiment == "qubit" and not math.isfinite(qubit_spec.omega * scan.t_max):
+        raise ConfigError(
+            "qubit.omega * scan.t_max must be a finite phase", field="scan.t_max"
+        )
     output = _parse_output(
         _require_mapping(raw["output"], "output") if "output" in raw else None,
         experiment,

@@ -28,7 +28,8 @@ from .tableio import csv_text, json_document
 
 
 class DegenerateGeometryError(RuntimeError):
-    """A propagation leg has zero length, e.g. the detector sits on a slit."""
+    """A propagation leg has zero length (e.g. the detector sits on a slit), or a
+    result about to be written is not finite."""
 
 
 def wavenumber(wavelength: float) -> float:

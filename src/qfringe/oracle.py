@@ -299,10 +299,8 @@ def run_verification_suite() -> list[VerificationCheck]:
     params = qubit.QubitModelParams(omega=1.0, cutoff=4)
     h_qubit = qubit.hamiltonian(params)
     times = np.linspace(0.0, 2.0 * math.pi, 100)
-    dev = max(
-        abs(qubit.transition_probability(params, t) - transition_probability_oracle(params, t))
-        for t in times
-    )
+    oracle_flips = np.array([transition_probability_oracle(params, t) for t in times])
+    dev = np.max(np.abs(qubit.transition_probability(params, times) - oracle_flips))
     checks.append(_check("transition_probability_vs_schrodinger", dev, 1e-10))
 
     base = qubit.pauli_set(params)

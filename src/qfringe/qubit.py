@@ -67,13 +67,13 @@ def mode_ops(params: QubitModelParams) -> tuple[np.ndarray, np.ndarray]:
     return annihilation_op(space, 0), annihilation_op(space, 1)
 
 
-def _total_number(dim: int) -> np.ndarray:
+def _total_number_diagonal(dim: int) -> np.ndarray:
+    """Diagonal of nx + ny in the row-major two-mode number basis."""
     cutoff = math.isqrt(dim)
     if cutoff * cutoff != dim:
         raise ValueError(f"dimension {dim} is not a two-mode product space")
-    n = np.diag(np.arange(cutoff, dtype=float)).astype(complex)
-    eye = np.eye(cutoff, dtype=complex)
-    return np.kron(n, eye) + np.kron(eye, n)
+    levels = np.arange(cutoff, dtype=float)
+    return np.add.outer(levels, levels).ravel()
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,13 @@ class SecondQuantizedPauli:
     sigma_z: np.ndarray
 
     def __post_init__(self):
-        n_total = _total_number(np.asarray(self.sigma_x).shape[0])
+        n_total = _total_number_diagonal(np.asarray(self.sigma_x).shape[0])
         for name in ("sigma_x", "sigma_y", "sigma_z"):
             op = np.asarray(getattr(self, name), dtype=complex)
             if np.max(np.abs(op - op.conj().T)) > HERMITIAN_TOL:
                 raise ValueError(f"{name} must be Hermitian")
-            if np.max(np.abs(op @ n_total - n_total @ op)) > HERMITIAN_TOL:
+            # [op, N] from the diagonal N: the same terms the dense products give.
+            if np.max(np.abs(op * n_total[None, :] - n_total[:, None] * op)) > HERMITIAN_TOL:
                 raise ValueError(f"{name} must conserve total excitation number")
             op.setflags(write=False)
             object.__setattr__(self, name, op)
@@ -279,8 +280,9 @@ def _sigma_x_from_quadratures(quads: QuadratureSet) -> np.ndarray:
     return quads.x @ quads.y + quads.p_x @ quads.p_y
 
 
-def _survival_to_flip(plus_vec: np.ndarray, sigma_x_t: np.ndarray) -> float:
-    value = 0.5 * (1.0 - np.vdot(plus_vec, sigma_x_t @ plus_vec).real)
+def _survival_to_flip(plus_vec: np.ndarray, evolved_plus: np.ndarray) -> float:
+    """Flip probability from Sigma_X(t)|+>, given as `evolved_plus`."""
+    value = 0.5 * (1.0 - np.vdot(plus_vec, evolved_plus).real)
     if -1e-9 < value < 0.0:
         value = 0.0
     return float(value)
@@ -332,7 +334,7 @@ def integrate_quadratures(
             steps_recorded.append(step)
     times = h * np.array(steps_recorded, dtype=float)
     probabilities = np.array(
-        [_survival_to_flip(plus_vec, _sigma_x_from_quadratures(s)) for s in snapshots]
+        [_survival_to_flip(plus_vec, _sigma_x_from_quadratures(s) @ plus_vec) for s in snapshots]
     )
     return EvolutionResult(times=times, operators_at_t=tuple(snapshots), probabilities=probabilities)
 
@@ -349,11 +351,22 @@ def pauli_evolved(params: QubitModelParams, t: float) -> SecondQuantizedPauli:
     )
 
 
-def transition_probability(params: QubitModelParams, t: float) -> float:
+def transition_probability(params: QubitModelParams, t):
     """Probability to flip from the +1 to the -1 Sigma_X eigenstate by time t.
 
     Computed in the Heisenberg picture as <+|(I - Sigma_X(t))/2|+> on the
-    single-excitation sector; equals sin^2(omega t / 2).
+    single-excitation sector; equals sin^2(omega t / 2). `t` is a scalar
+    (returns a float) or an array of times (returns an array of that shape).
+    The Pauli basis is built once per call, so Sigma_X(t)|+> costs O(dim)
+    per time: cos(omega t) Sigma_X|+> + sin(omega t) Sigma_Y|+>.
     """
-    sigma_x_t = pauli_evolved(params, t).sigma_x
-    return _survival_to_flip(plus_state(params).data, sigma_x_t)
+    base = pauli_set(params)
+    plus_vec = plus_state(params).data
+    u = base.sigma_x @ plus_vec
+    w = base.sigma_y @ plus_vec
+    times = np.asarray(t, dtype=float)
+    phases = [params.omega * time for time in times.ravel().tolist()]
+    values = np.array(
+        [_survival_to_flip(plus_vec, math.cos(ph) * u + math.sin(ph) * w) for ph in phases]
+    ).reshape(times.shape)
+    return float(values) if values.ndim == 0 else values

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import oracle
 from .config import RunConfig, SourceStateSpec
-from .diffraction import fringe_scan, single_photon_fringe
+from .diffraction import DegenerateGeometryError, fringe_scan, single_photon_fringe
 from .fock import FockSpace, QuantumState, coherent_state, fock_state, thermal_state
 from .qubit import QubitModelParams, transition_probability
 from .tableio import csv_text, format_real, json_document
@@ -26,6 +26,13 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
+def _require_finite(**columns) -> None:
+    """Refuse to write a table with a NaN or infinite entry (CLI exit 4)."""
+    for name, values in columns.items():
+        if not np.isfinite(values).all():
+            raise DegenerateGeometryError(f"non-finite value in output column {name!r}")
+
+
 def _fringe_text(config: RunConfig) -> str:
     scan = config.scan
     mode = "far_field" if config.far_field else "exact"
@@ -37,14 +44,16 @@ def _fringe_text(config: RunConfig) -> str:
         mode=mode,
         state=build_source_state(config.source_state),
     )
+    _require_finite(x_D=table.x, probability=table.probability, raw_intensity=table.raw_intensity)
     return table.to_csv() if config.output.format == "csv" else table.to_json()
 
 
 def _qubit_text(config: RunConfig) -> str:
     params = QubitModelParams(omega=config.qubit.omega, cutoff=config.qubit.cutoff)
     times = np.linspace(0.0, config.scan.t_max, config.scan.n_points)
-    probs = [transition_probability(params, t) for t in times]
-    rows = list(zip(times.tolist(), probs))
+    probs = transition_probability(params, times)
+    _require_finite(t=times, probability=probs)
+    rows = list(zip(times.tolist(), probs.tolist()))
     if config.output.format == "csv":
         return csv_text(("t", "probability"), rows)
     return json_document([{"t": t, "probability": p} for t, p in rows])
@@ -57,6 +66,7 @@ def _compare_text(config: RunConfig) -> str:
     heisenberg = single_photon_fringe(config.geometry, xs, mode=mode)
     oracle_vals = oracle.slit_mode_oracle(config.geometry, xs)
     deviations = np.abs(heisenberg - oracle_vals)
+    _require_finite(x_D=xs, heisenberg=heisenberg, oracle=oracle_vals, abs_deviation=deviations)
     max_dev = float(deviations.max())
     rows = zip(
         xs.tolist(), heisenberg.tolist(), oracle_vals.tolist(), deviations.tolist()

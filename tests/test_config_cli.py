@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -337,6 +338,74 @@ def test_cli_exit_code_degenerate_geometry(tmp_path, capsys):
             assert main(["--config", write_config(tmp_path, payload), *flags]) == 4
             assert "zero-length propagation leg" in capsys.readouterr().err
             assert not out.exists()
+
+
+def test_cli_exit_code_non_finite_result(tmp_path, capsys):
+    # screen_z**2 is subnormal but not 0, so the leg to the slit at +5 um is
+    # tiny rather than zero and |T|^2 overflows: the table would hold inf
+    # and nan, so nothing is written.
+    for experiment in ("fringe", "compare"):
+        out = tmp_path / f"{experiment}.csv"
+        payload = {
+            "experiment": experiment,
+            "geometry": {"slits": [-5e-6, 5e-6], "screen_z": 1e-160, "wavelength": 500e-9},
+            "scan": {"x_min": 0.0, "x_max": 5e-6, "n_points": 3},
+            "output": {"path": str(out)},
+        }
+        assert main(["--config", write_config(tmp_path, payload)]) == 4
+        messages = [
+            line for line in capsys.readouterr().err.splitlines() if "computation error" in line
+        ]
+        assert len(messages) == 1 and "non-finite value in output column" in messages[0]
+        assert not out.exists()
+
+
+def test_cli_rejects_qubit_phase_overflow(tmp_path, capsys):
+    out = tmp_path / "qubit.csv"
+    payload = {
+        "experiment": "qubit",
+        "qubit": {"omega": 1e300, "cutoff": 4},
+        "scan": {"t_max": 1e10, "n_points": 5},
+        "output": {"path": str(out)},
+    }
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(payload))
+    assert excinfo.value.field == "scan.t_max"
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config error" in err and "scan.t_max" in err
+    assert not out.exists()
+
+
+# SHA-256 of the qubit CLI output, computed from one Pauli-basis evaluation
+# per time point; the one-pass flip curve must reproduce these bytes.
+QUBIT_OUTPUT_DIGESTS = [
+    (
+        {"omega": 1.3, "cutoff": 16},
+        {"t_max": 7.0, "n_points": 101},
+        "csv",
+        "915af28eb30f4dd1a7cc4200a63e7e5306d1498d7615196c200621d066025b11",
+    ),
+    (
+        {"omega": 0.7, "cutoff": 3},
+        {"t_max": 20.0, "n_points": 57},
+        "json",
+        "3a6502f3bd1ef907b2009e4f568a65f807fc3682bf9845a0f8ff50d73a08e8d4",
+    ),
+]
+
+
+@pytest.mark.parametrize("qubit, scan, fmt, digest", QUBIT_OUTPUT_DIGESTS, ids=["c16_csv", "c3_json"])
+def test_cli_qubit_output_bytes_pinned(tmp_path, qubit, scan, fmt, digest):
+    out = tmp_path / f"qubit.{fmt}"
+    payload = {
+        "experiment": "qubit",
+        "qubit": qubit,
+        "scan": scan,
+        "output": {"path": str(out), "format": fmt},
+    }
+    assert main(["--config", write_config(tmp_path, payload)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_cli_rejects_seed_option(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Property tests of the slit layer over random geometries and source states.
+"""Property tests of the slit and qubit layers over random inputs.
 
 Examples are drawn with a fixed seed (derandomize) so every run of the suite
 checks the same cases.
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qfringe import (
     FockSpace,
     QuantumState,
+    QubitModelParams,
     SlitGeometry,
     coherent_state,
     fermionic_fringe,
@@ -22,6 +23,7 @@ from qfringe import (
     single_photon_fringe,
     slit_mode_oracle,
     thermal_state,
+    transition_probability,
     wavenumber,
 )
 
@@ -129,3 +131,15 @@ def test_batched_slit_mode_oracle_matches_points_and_far_field_law(scan):
     assert np.array_equal(far_field, [single_photon_fringe(geom, x, mode="far_field") for x in xs])
     assert np.array_equal(far_field, [far_field_point(geom, x) for x in xs])
     assert np.max(np.abs(fermionic_fringe(geom, xs) - batched)) <= 1e-10
+
+
+@PROPERTY
+@given(
+    st.floats(-20.0, 20.0),
+    st.lists(st.floats(0.0, 50.0), min_size=1, max_size=30),
+    st.integers(2, 6),
+)
+def test_flip_curve_follows_flip_law(omega, times, cutoff):
+    times = np.array(times)
+    curve = transition_probability(QubitModelParams(omega=omega, cutoff=cutoff), times)
+    assert np.max(np.abs(curve - np.sin(omega * times / 2.0) ** 2)) <= 1e-12

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qfringe import qubit
 from qfringe import (
     QuadratureSet,
     QubitModelParams,
@@ -356,6 +357,47 @@ def test_transition_probability_matches_state_evolution_oracle():
         u = scipy.linalg.expm(-1j * h * t)
         oracle = abs(np.vdot(minus, u @ plus)) ** 2
         assert transition_probability(params, t) == pytest.approx(oracle, abs=1e-10)
+
+
+def per_point_flip(params, t):
+    """Flip probability from the evolved Sigma_X matrix, one time point per call."""
+    plus = plus_state(params).data
+    value = 0.5 * (1.0 - np.vdot(plus, pauli_evolved(params, t).sigma_x @ plus).real)
+    return 0.0 if -1e-9 < value < 0.0 else float(value)
+
+
+def test_transition_probability_array_equals_scalar_calls():
+    for omega, cutoff in ((1.3, 16), (-0.7, 3), (2.5, 2)):
+        params = QubitModelParams(omega=omega, cutoff=cutoff)
+        times = np.linspace(0.0, 9.0, 37)
+        curve = transition_probability(params, times)
+        assert isinstance(curve, np.ndarray) and curve.shape == times.shape
+        assert np.array_equal(curve, [transition_probability(params, t) for t in times])
+        assert np.array_equal(curve, [per_point_flip(params, t) for t in times])
+        grid = times[:36].reshape(4, 9)
+        assert np.array_equal(transition_probability(params, grid), curve[:36].reshape(4, 9))
+        assert isinstance(transition_probability(params, times[5]), float)
+
+
+def test_transition_probability_builds_basis_once_per_call(monkeypatch):
+    calls = []
+    original = qubit.schwinger_map
+
+    def counting(label, params):
+        calls.append(label)
+        return original(label, params)
+
+    monkeypatch.setattr(qubit, "schwinger_map", counting)
+    params = QubitModelParams(omega=1.0, cutoff=6)
+    curve = transition_probability(params, np.linspace(0.0, 2.0 * math.pi, 50))
+    assert curve.shape == (50,)
+    assert len(calls) <= 3
+
+
+def test_pauli_set_validation_rejects_non_product_dimension():
+    eye = np.eye(3, dtype=complex)
+    with pytest.raises(ValueError, match="two-mode product space"):
+        SecondQuantizedPauli(sigma_x=eye, sigma_y=eye, sigma_z=eye)
 
 
 def test_evolution_result_serialization():
