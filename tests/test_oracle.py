@@ -29,7 +29,7 @@ from qfringe import (
     unitary_evolution,
     wavenumber,
 )
-from qfringe.oracle import heisenberg_conjugate, report_to_json, transition_amplitude
+from qfringe.oracle import _expm, heisenberg_conjugate, report_to_json, transition_amplitude
 
 
 def canonical_geometry():
@@ -117,18 +117,34 @@ def test_heisenberg_conjugate_matches_direct_product():
     assert np.max(np.abs(heisenberg_conjugate(op, h, 0.8) - u.conj().T @ op @ u)) < 1e-13
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy.linalg is imported by picture_equivalence_check only, so fringe and
-    # qubit runs do not pay for it at start-up.
+def _scipy_loaded_after(code):
+    """Run `code` in a fresh interpreter on this tree; report whether scipy got imported."""
     src = str(Path(qfringe.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, qfringe; print(qfringe.__file__); print('scipy' in sys.modules)"
+    code += "; import sys, qfringe; print(qfringe.__file__); print('scipy' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     loaded_from, scipy_loaded = result.stdout.split()
     assert Path(loaded_from).resolve() == Path(qfringe.__file__).resolve()
-    assert scipy_loaded == "False"
+    return scipy_loaded == "True"
+
+
+def test_import_leaves_scipy_unloaded():
+    # qfringe needs numpy alone, so fringe and qubit runs do not pay for scipy at start-up.
+    assert not _scipy_loaded_after("import qfringe")
+
+
+def test_verification_suite_leaves_scipy_unloaded():
+    # picture_equivalence_check uses the numpy Taylor exponential, so a whole
+    # verify run needs no scipy either.
+    assert not _scipy_loaded_after("from qfringe import oracle; oracle.run_verification_suite()")
+
+
+def test_taylor_expm_zero_and_diagonal():
+    assert np.array_equal(_expm(np.zeros((3, 3), dtype=complex)), np.eye(3))
+    diag = np.array([0.3, -2.0, 40.0 + 5j])
+    assert np.max(np.abs(_expm(np.diag(diag)) - np.diag(np.exp(diag)))) <= 1e-14 * np.exp(40.0)
 
 
 def test_slit_mode_oracle_symmetric_point():
@@ -173,6 +189,20 @@ def test_slit_mode_oracle_legs_round_as_far_field_law():
     assert np.max(np.abs(slit_mode_oracle(geom, xs) - far_field)) < 1e-10
 
 
+def test_shared_excitation_models_survive_a_tiny_leg():
+    # At screen_z = 1e-160 the leg from a slit to the point above it is 1e-160 m,
+    # and 1 / r squared overflows; weighting the legs by r_min / r keeps the
+    # detector mode finite. At x = 5e-6 it is slit 2's mode alone (occupation
+    # 0.5); at 2.5e-6 the legs are in phase with weights 1/3 : 1 (occupation 0.8).
+    geom = SlitGeometry(
+        source=(0.0, -1.0), slits=(-5e-6, 5e-6), screen_z=1e-160, k=wavenumber(500e-9)
+    )
+    xs = np.array([0.0, 2.5e-6, 5e-6])
+    with np.errstate(over="raise", invalid="raise"):
+        for model in (slit_mode_oracle, fermionic_fringe):
+            assert np.max(np.abs(model(geom, xs) - [1.0, 0.8, 0.5])) <= 1e-12
+
+
 def test_slit_mode_oracle_matches_fermionic_scan():
     geom = canonical_geometry()
     xs = np.linspace(-0.025, 0.025, 101)
@@ -190,6 +220,24 @@ def test_transition_probability_oracle_closed_form():
     for t in (0.0, 0.4, 1.7, math.pi):
         expected = math.sin(params.omega * t / 2.0) ** 2
         assert transition_probability_oracle(params, t) == pytest.approx(expected, abs=1e-12)
+
+
+def test_transition_probability_oracle_array_matches_scalar_calls():
+    params = QubitModelParams(omega=1.3, cutoff=4)
+    times = np.linspace(0.0, 12.0, 36)
+    curve = transition_probability_oracle(params, times)
+    scalar = np.array([transition_probability_oracle(params, t) for t in times])
+    # The per-time state evolution the oracle replaced: H and eigh rebuilt at every t.
+    h = hamiltonian(params)
+    minus = minus_state(params).data
+    evolved = [schrodinger_evolve(plus_state(params), h, t).data for t in times]
+    per_time = np.array([abs(np.vdot(minus, psi)) ** 2 for psi in evolved])
+    assert np.max(np.abs(curve - scalar)) <= 1e-12
+    assert np.max(np.abs(curve - per_time)) <= 1e-12
+    assert np.max(np.abs(curve - np.sin(params.omega * times / 2.0) ** 2)) <= 1e-12
+    assert isinstance(transition_probability_oracle(params, 0.3), float)
+    grid = transition_probability_oracle(params, times.reshape(6, 6))
+    assert np.array_equal(grid, curve.reshape(6, 6))
 
 
 def test_transition_pipelines_agree_on_grid():

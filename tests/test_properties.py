@@ -7,6 +7,7 @@ checks the same cases.
 import math
 
 import numpy as np
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,16 +17,21 @@ from qfringe import (
     QubitModelParams,
     SlitGeometry,
     coherent_state,
+    commutator,
     fermionic_fringe,
     fock_state,
     fringe_scan,
+    integrate_quadratures,
     intensity_expectation,
+    plus_state,
+    quadratures,
     single_photon_fringe,
     slit_mode_oracle,
     thermal_state,
     transition_probability,
     wavenumber,
 )
+from qfringe.oracle import _expm
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 CUTOFF = 12
@@ -143,3 +149,69 @@ def test_flip_curve_follows_flip_law(omega, times, cutoff):
     times = np.array(times)
     curve = transition_probability(QubitModelParams(omega=omega, cutoff=cutoff), times)
     assert np.max(np.abs(curve - np.sin(omega * times / 2.0) ** 2)) <= 1e-12
+
+
+@PROPERTY
+@given(st.integers(2, 32), st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
+def test_taylor_expm_matches_scipy(dim, t, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a = -1j * t * (m + m.conj().T) / 2.0
+    assert np.max(np.abs(_expm(a) - scipy.linalg.expm(a))) <= 1e-12
+
+
+# Leapfrog cases: |omega| h / 2 <= 0.5, well inside the stability limit of 2.
+leapfrog_cases = (
+    st.floats(-5.0, 5.0),
+    st.floats(0.0, 10.0),
+    st.integers(50, 400),
+    st.integers(2, 5),
+    st.one_of(st.none(), st.integers(1, 120)),
+)
+
+
+def operator_leapfrog(params, t_final, n_steps, record_stride):
+    """Kick-drift-kick on the dense quadrature operators, six dim x dim updates per step."""
+    start = quadratures(params)
+    x, p_x, y, p_y = (op.copy() for op in (start.x, start.p_x, start.y, start.p_y))
+    h = t_final / n_steps
+    om = params.omega / 2.0
+    snapshots = [(x.copy(), p_x.copy(), y.copy(), p_y.copy())]
+    steps_recorded = [0]
+    for step in range(1, n_steps + 1):
+        p_x -= (om * h / 2.0) * x
+        p_y += (om * h / 2.0) * y
+        x += (om * h) * p_x
+        y -= (om * h) * p_y
+        p_x -= (om * h / 2.0) * x
+        p_y += (om * h / 2.0) * y
+        if step % record_stride == 0 or step == n_steps:
+            snapshots.append((x.copy(), p_x.copy(), y.copy(), p_y.copy()))
+            steps_recorded.append(step)
+    return h * np.array(steps_recorded, dtype=float), snapshots
+
+
+@PROPERTY
+@given(*leapfrog_cases)
+def test_leapfrog_preserves_canonical_commutators(omega, t_final, n_steps, cutoff, stride):
+    params = QubitModelParams(omega=omega, cutoff=cutoff)
+    start = quadratures(params)
+    result = integrate_quadratures(params, t_final, n_steps, record_stride=stride)
+    for snap in result.operators_at_t:
+        for q, p, q0, p0 in ((snap.x, snap.p_x, start.x, start.p_x), (snap.y, snap.p_y, start.y, start.p_y)):
+            assert np.max(np.abs(commutator(q, p) - commutator(q0, p0))) <= 1e-12
+
+
+@PROPERTY
+@given(*leapfrog_cases)
+def test_leapfrog_matches_operator_loop(omega, t_final, n_steps, cutoff, stride):
+    params = QubitModelParams(omega=omega, cutoff=cutoff)
+    result = integrate_quadratures(params, t_final, n_steps, record_stride=stride)
+    times, snapshots = operator_leapfrog(params, t_final, n_steps, stride or max(1, n_steps // 100))
+    assert np.array_equal(result.times, times)
+    plus = plus_state(params).data
+    for snap, (x, p_x, y, p_y) in zip(result.operators_at_t, snapshots, strict=True):
+        for got, want in ((snap.x, x), (snap.p_x, p_x), (snap.y, y), (snap.p_y, p_y)):
+            assert np.max(np.abs(got - want)) <= 1e-12
+    flips = [0.5 * (1.0 - np.vdot(plus, (x @ y + p_x @ p_y) @ plus).real) for x, p_x, y, p_y in snapshots]
+    assert np.max(np.abs(result.probabilities - flips)) <= 1e-12
