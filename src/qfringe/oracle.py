@@ -129,10 +129,11 @@ def _shared_excitation_fringe(geom: diffraction.SlitGeometry, x_detector, modes)
             f"zero-length propagation leg at x_detector = {xs[zero][0]}"
         )
     # The detector mode is defined up to a global phase and scale: dropping the phase of
-    # the shortest leg keeps exp() arguments small, and weighting by r_min / r <= 1
-    # keeps the norm from overflowing when a leg is tiny.
+    # the shortest leg keeps exp() arguments small, and measuring the legs in units of
+    # the power of two at r_min keeps the norm from overflowing when a leg is tiny. A
+    # power-of-two scale is exact, so the normalized weights round as unscaled ones do.
     r_min = r.min(axis=1, keepdims=True)
-    weights = np.exp(1j * geom.k * (r - r_min)) * (r_min / r)
+    weights = np.exp(1j * geom.k * (r - r_min)) / np.ldexp(r, -np.frexp(r_min)[1])
     weights /= np.sqrt(np.sum(np.abs(weights) ** 2, axis=1, keepdims=True))
     detectors = np.einsum("nm,mij->nij", weights, np.stack(modes))
     values = np.einsum("i,nji,njk,k->n", psi.conj(), detectors.conj(), detectors, psi).real

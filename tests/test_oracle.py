@@ -191,8 +191,8 @@ def test_slit_mode_oracle_legs_round_as_far_field_law():
 
 def test_shared_excitation_models_survive_a_tiny_leg():
     # At screen_z = 1e-160 the leg from a slit to the point above it is 1e-160 m,
-    # and 1 / r squared overflows; weighting the legs by r_min / r keeps the
-    # detector mode finite. At x = 5e-6 it is slit 2's mode alone (occupation
+    # and 1 / r squared overflows; measuring the legs in units of the power of
+    # two at r_min keeps the detector mode finite. At x = 5e-6 it is slit 2's mode alone (occupation
     # 0.5); at 2.5e-6 the legs are in phase with weights 1/3 : 1 (occupation 0.8).
     geom = SlitGeometry(
         source=(0.0, -1.0), slits=(-5e-6, 5e-6), screen_z=1e-160, k=wavenumber(500e-9)
