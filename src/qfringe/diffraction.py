@@ -185,7 +185,9 @@ class FringeTable:
         return zip(self.x.tolist(), self.probability.tolist(), self.raw_intensity.tolist())
 
     def to_csv(self) -> str:
-        return csv_text(("x_D", "probability", "raw_intensity"), self.rows())
+        return csv_text(
+            ("x_D", "probability", "raw_intensity"), (self.x, self.probability, self.raw_intensity)
+        )
 
     def to_json(self) -> str:
         return json_document(

@@ -42,6 +42,8 @@ def _require_hermitian(h: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("Hamiltonian must be a square matrix")
+    if not np.isfinite(h).all():
+        raise ValueError("Hamiltonian entries must be finite")
     if np.max(np.abs(h - h.conj().T)) > tol:
         raise ValueError("Hamiltonian must be Hermitian")
     return h

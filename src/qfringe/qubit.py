@@ -39,7 +39,6 @@ from .fock import (
     dagger,
     number_op,
 )
-from .tableio import csv_text, json_document
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -88,6 +87,8 @@ class SecondQuantizedPauli:
         n_total = _total_number_diagonal(np.asarray(self.sigma_x).shape[0])
         for name in ("sigma_x", "sigma_y", "sigma_z"):
             op = np.asarray(getattr(self, name), dtype=complex)
+            if not np.isfinite(op).all():
+                raise ValueError(f"{name} entries must be finite")
             if np.max(np.abs(op - op.conj().T)) > HERMITIAN_TOL:
                 raise ValueError(f"{name} must be Hermitian")
             # [op, N] from the diagonal N: the same terms the dense products give.
@@ -97,15 +98,29 @@ class SecondQuantizedPauli:
             object.__setattr__(self, name, op)
 
 
+def _hop(cutoff: int) -> np.ndarray:
+    """ax* ay from its matrix elements: sqrt(nx + 1) sqrt(ny) at (i + cutoff - 1, i).
+
+    Basis index i = nx * cutoff + ny. Each element is the one nonzero term of
+    the dense product ax* @ ay, formed by the same multiplication, so the two
+    agree bit for bit.
+    """
+    n_x, n_y = np.divmod(np.arange(cutoff * cutoff), cutoff)
+    i = np.flatnonzero((n_x < cutoff - 1) & (n_y > 0))
+    op = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
+    op[i + cutoff - 1, i] = np.sqrt(n_x[i] + 1) * np.sqrt(n_y[i])
+    return op
+
+
 def schwinger_map(label: str, params: QubitModelParams) -> np.ndarray:
-    """One Pauli bilinear, exactly as the mode-operator expressions above."""
-    ax, ay = mode_ops(params)
-    axd, ayd = dagger(ax), dagger(ay)
+    """One Pauli bilinear, exactly as the mode-operator expressions above.
+
+    ay* ax is the transpose of ax* ay, whose matrix elements are real.
+    """
     label = label.upper()
-    if label == "X":
-        return axd @ ay + ayd @ ax
-    if label == "Y":
-        return 1j * (axd @ ay - ayd @ ax)
+    if label in ("X", "Y"):
+        hop = _hop(params.cutoff)
+        return hop + hop.T if label == "X" else 1j * (hop - hop.T)
     if label == "Z":
         space = two_mode_space(params)
         return number_op(space, 0) - number_op(space, 1)
@@ -248,15 +263,6 @@ class EvolutionResult:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "operators_at_t", tuple(self.operators_at_t))
-
-    def rows(self):
-        return zip(self.times.tolist(), self.probabilities.tolist())
-
-    def to_csv(self) -> str:
-        return csv_text(("t", "probability"), self.rows())
-
-    def to_json(self) -> str:
-        return json_document([{"t": t, "probability": p} for t, p in self.rows()])
 
 
 def plus_state(params: QubitModelParams) -> QuantumState:

@@ -48,15 +48,21 @@ def _fringe_text(config: RunConfig) -> str:
     return table.to_csv() if config.output.format == "csv" else table.to_json()
 
 
+def flip_curve_text(times, probabilities, output_format: str) -> str:
+    """The qubit table, one `t,probability` row per time, as CSV or JSON text."""
+    if output_format == "csv":
+        return csv_text(("t", "probability"), (times, probabilities))
+    return json_document(
+        [{"t": t, "probability": p} for t, p in zip(times.tolist(), probabilities.tolist())]
+    )
+
+
 def _qubit_text(config: RunConfig) -> str:
     params = QubitModelParams(omega=config.qubit.omega, cutoff=config.qubit.cutoff)
     times = np.linspace(0.0, config.scan.t_max, config.scan.n_points)
     probs = transition_probability(params, times)
     _require_finite(t=times, probability=probs)
-    rows = list(zip(times.tolist(), probs.tolist()))
-    if config.output.format == "csv":
-        return csv_text(("t", "probability"), rows)
-    return json_document([{"t": t, "probability": p} for t, p in rows])
+    return flip_curve_text(times, probs, config.output.format)
 
 
 def _compare_text(config: RunConfig) -> str:
@@ -68,17 +74,15 @@ def _compare_text(config: RunConfig) -> str:
     deviations = np.abs(heisenberg - oracle_vals)
     _require_finite(x_D=xs, heisenberg=heisenberg, oracle=oracle_vals, abs_deviation=deviations)
     max_dev = float(deviations.max())
-    rows = zip(
-        xs.tolist(), heisenberg.tolist(), oracle_vals.tolist(), deviations.tolist()
-    )
+    columns = (xs, heisenberg, oracle_vals, deviations)
     if config.output.format == "csv":
-        body = csv_text(("x_D", "heisenberg", "oracle", "abs_deviation"), rows)
+        body = csv_text(("x_D", "heisenberg", "oracle", "abs_deviation"), columns)
         return body + f"# max_abs_deviation = {format_real(max_dev)}\n"
     return json_document(
         {
             "rows": [
                 {"x_D": x, "heisenberg": h, "oracle": o, "abs_deviation": d}
-                for x, h, o, d in rows
+                for x, h, o, d in zip(*(column.tolist() for column in columns))
             ],
             "max_abs_deviation": max_dev,
         }
@@ -105,7 +109,12 @@ def run(config: RunConfig) -> int:
     if config.output.format == "csv":
         text = csv_text(
             ("check", "max_deviation", "tolerance", "pass"),
-            ((c.check, c.max_deviation, c.tolerance, c.passed) for c in checks),
+            (
+                [c.check for c in checks],
+                [c.max_deviation for c in checks],
+                [c.tolerance for c in checks],
+                [c.passed for c in checks],
+            ),
         )
     else:
         text = oracle.report_to_json(checks)

@@ -408,6 +408,55 @@ def test_cli_qubit_output_bytes_pinned(tmp_path, qubit, scan, fmt, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of screen-scan CLI outputs written by the per-cell serializer; the
+# columnar serializer must reproduce these bytes.
+PINNED_GEOMETRY = {
+    "source": [2e-5, -0.8],
+    "slits": [-7e-6, 6e-6],
+    "screen_z": 1.3,
+    "wavelength": 612e-9,
+}
+SCAN_OUTPUT_DIGESTS = [
+    (
+        "fringe",
+        {"thermal": 0.7, "cutoff": 12},
+        [],
+        "202f67c9b103df3c19ca334fcaac67c2a96b3807562ba0b0fe82c7f4daa6ad50",
+    ),
+    (
+        "compare",
+        None,
+        [],
+        "744996d21d947297c8606591871dc8462628d4f4cf7ffa94c4a55660efb8eff3",
+    ),
+    (
+        "compare",
+        None,
+        ["--far-field"],
+        "46e4efd531058e4407989488ac0fcd1273eafad4c43b96de25c881a707f401e4",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, source_state, flags, digest",
+    SCAN_OUTPUT_DIGESTS,
+    ids=["fringe_exact", "compare_exact", "compare_far_field"],
+)
+def test_cli_scan_output_bytes_pinned(tmp_path, experiment, source_state, flags, digest):
+    out = tmp_path / f"{experiment}.csv"
+    payload = {
+        "experiment": experiment,
+        "geometry": PINNED_GEOMETRY,
+        "scan": {"x_min": -0.03, "x_max": 0.021, "n_points": 301},
+        "output": {"path": str(out), "format": "csv"},
+    }
+    if source_state is not None:
+        payload["source_state"] = source_state
+    assert main(["--config", write_config(tmp_path, payload), *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_cli_rejects_seed_option(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--config", write_config(tmp_path, MINIMAL_FRINGE), "--seed", "42"])

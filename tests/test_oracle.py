@@ -83,6 +83,15 @@ def test_evolution_rejects_non_hermitian():
         unitary_evolution(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_evolution_rejects_non_finite_hamiltonian(bad):
+    # NaN compares false against the Hermitian tolerance, so only an explicit
+    # finiteness check stops it from becoming an all-NaN propagator.
+    h = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="finite"):
+        unitary_evolution(h, 1.0)
+
+
 def test_mixed_state_evolution_preserves_trace():
     rng = np.random.default_rng(9)
     h = random_hermitian(rng, 4)

@@ -1,4 +1,4 @@
-"""Property tests of the slit and qubit layers over random inputs.
+"""Property tests of the slit and qubit layers and the table serializer over random inputs.
 
 Examples are drawn with a fixed seed (derandomize) so every run of the suite
 checks the same cases.
@@ -7,8 +7,9 @@ checks the same cases.
 import math
 
 import numpy as np
+import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qfringe import (
@@ -32,6 +33,7 @@ from qfringe import (
     wavenumber,
 )
 from qfringe.oracle import _expm
+from qfringe.tableio import csv_text
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 CUTOFF = 12
@@ -215,3 +217,53 @@ def test_leapfrog_matches_operator_loop(omega, t_final, n_steps, cutoff, stride)
             assert np.max(np.abs(got - want)) <= 1e-12
     flips = [0.5 * (1.0 - np.vdot(plus, (x @ y + p_x @ p_y) @ plus).real) for x, p_x, y, p_y in snapshots]
     assert np.max(np.abs(result.probabilities - flips)) <= 1e-12
+
+
+def per_row_csv_text(header, rows):
+    """The per-cell CSV serializer that the columnar `csv_text` replaced."""
+
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, str):
+            return value
+        if isinstance(value, int):
+            return str(value)
+        return format(float(value), ".17g")
+
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cell(value) for value in row))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def float_columns(draw):
+    n_rows = draw(st.integers(0, 300))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return [
+        np.array(draw(st.lists(finite, min_size=n_rows, max_size=n_rows)), dtype=float)
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+
+
+@PROPERTY
+@given(float_columns())
+@example([np.array([-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308])])
+def test_csv_text_columns_match_per_row_reference(columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    rows = zip(*(column.tolist() for column in columns))
+    assert csv_text(header, columns) == per_row_csv_text(header, rows)
+
+
+def test_csv_text_mixed_columns_match_per_row_reference():
+    # Shaped like the verify report: check names, deviations, tolerances, pass flags.
+    names = ["oracle_unitarity", "far_field_fringe", "qubit%flip"]
+    deviations = [1.4432899320127035e-15, math.inf, math.nan]
+    tolerances = [1e-10, 0.5, 2.0]
+    passed = [True, False, False]
+    header = ("check", "max_deviation", "tolerance", "pass")
+    columns = (names, deviations, tolerances, passed)
+    assert csv_text(header, columns) == per_row_csv_text(header, zip(*columns))
+    with pytest.raises(ValueError):
+        csv_text(header, (names, deviations[:2], tolerances, passed))

@@ -28,6 +28,7 @@ from qfringe import (
     transition_probability,
     two_mode_space,
 )
+from qfringe.runner import flip_curve_text
 
 # Structure-constant sign of the bilinear algebra, measured by the
 # brute-force commutator below and frozen here.
@@ -394,6 +395,25 @@ def test_transition_probability_builds_basis_once_per_call(monkeypatch):
     assert len(calls) <= 3
 
 
+@pytest.mark.parametrize("cutoff", [2, 3, 8, 16, 32])
+def test_schwinger_map_matches_dense_mode_products(cutoff):
+    params = QubitModelParams(omega=1.0, cutoff=cutoff)
+    space = two_mode_space(params)
+    ax, ay = annihilation_op(space, 0), annihilation_op(space, 1)
+    axd, ayd = dagger(ax), dagger(ay)
+    assert np.array_equal(schwinger_map("X", params), axd @ ay + ayd @ ax)
+    assert np.array_equal(schwinger_map("Y", params), 1j * (axd @ ay - ayd @ ax))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pauli_set_validation_rejects_non_finite(bad):
+    base = pauli_set(QubitModelParams(omega=1.0, cutoff=3))
+    sigma_z = base.sigma_z.copy()
+    sigma_z[4, 4] = bad
+    with pytest.raises(ValueError, match="sigma_z entries must be finite"):
+        SecondQuantizedPauli(sigma_x=base.sigma_x, sigma_y=base.sigma_y, sigma_z=sigma_z)
+
+
 def test_pauli_set_validation_rejects_non_product_dimension():
     eye = np.eye(3, dtype=complex)
     with pytest.raises(ValueError, match="two-mode product space"):
@@ -403,10 +423,10 @@ def test_pauli_set_validation_rejects_non_product_dimension():
 def test_evolution_result_serialization():
     params = QubitModelParams(omega=1.0, cutoff=2)
     result = integrate_quadratures(params, 1.0, 100, record_stride=50)
-    csv_lines = result.to_csv().strip().split("\n")
+    csv_lines = flip_curve_text(result.times, result.probabilities, "csv").strip().split("\n")
     assert csv_lines[0] == "t,probability"
     assert len(csv_lines) == 4
-    parsed = json.loads(result.to_json())
+    parsed = json.loads(flip_curve_text(result.times, result.probabilities, "json"))
     for row, line in zip(parsed, csv_lines[1:]):
         t_cell, p_cell = (float(cell) for cell in line.split(","))
         assert row["t"] == t_cell
