@@ -409,7 +409,8 @@ def test_cli_qubit_output_bytes_pinned(tmp_path, qubit, scan, fmt, digest):
 
 
 # SHA-256 of screen-scan CLI outputs written by the per-cell serializer; the
-# columnar serializer must reproduce these bytes.
+# columnar serializer must reproduce these bytes. The JSON pins were taken
+# while each experiment still had its own JSON writer.
 PINNED_GEOMETRY = {
     "source": [2e-5, -0.8],
     "slits": [-7e-6, 6e-6],
@@ -421,39 +422,71 @@ SCAN_OUTPUT_DIGESTS = [
         "fringe",
         {"thermal": 0.7, "cutoff": 12},
         [],
+        "csv",
         "202f67c9b103df3c19ca334fcaac67c2a96b3807562ba0b0fe82c7f4daa6ad50",
     ),
     (
         "compare",
         None,
         [],
+        "csv",
         "744996d21d947297c8606591871dc8462628d4f4cf7ffa94c4a55660efb8eff3",
     ),
     (
         "compare",
         None,
         ["--far-field"],
+        "csv",
         "46e4efd531058e4407989488ac0fcd1273eafad4c43b96de25c881a707f401e4",
+    ),
+    (
+        "fringe",
+        {"thermal": 0.7, "cutoff": 12},
+        [],
+        "json",
+        "6f2461cd6ccc357a226758865cea6f4fffe7a4e3c28cfb5088a48a67edeec2d9",
+    ),
+    (
+        "compare",
+        None,
+        [],
+        "json",
+        "4670985a4115f54ec1b99caf24eb577e5921f4f63a2cc6d54730c3515432ee61",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "experiment, source_state, flags, digest",
+    "experiment, source_state, flags, fmt, digest",
     SCAN_OUTPUT_DIGESTS,
-    ids=["fringe_exact", "compare_exact", "compare_far_field"],
+    ids=["fringe_exact", "compare_exact", "compare_far_field", "fringe_exact_json", "compare_exact_json"],
 )
-def test_cli_scan_output_bytes_pinned(tmp_path, experiment, source_state, flags, digest):
-    out = tmp_path / f"{experiment}.csv"
+def test_cli_scan_output_bytes_pinned(tmp_path, experiment, source_state, flags, fmt, digest):
+    out = tmp_path / f"{experiment}.{fmt}"
     payload = {
         "experiment": experiment,
         "geometry": PINNED_GEOMETRY,
         "scan": {"x_min": -0.03, "x_max": 0.021, "n_points": 301},
-        "output": {"path": str(out), "format": "csv"},
+        "output": {"path": str(out), "format": fmt},
     }
     if source_state is not None:
         payload["source_state"] = source_state
     assert main(["--config", write_config(tmp_path, payload), *flags]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of the default verify report, written by the report's own serializers.
+VERIFY_OUTPUT_DIGESTS = [
+    ("json", "c5832efabe902e13dbf3984be5706c3065944559f2a6940393d750380206a245"),
+    ("csv", "a57614526944c8927db3bf0fdfb4be4dfe56550351b957dc7828a643a29fc6d5"),
+]
+
+
+@pytest.mark.parametrize("fmt, digest", VERIFY_OUTPUT_DIGESTS, ids=["json", "csv"])
+def test_cli_verify_output_bytes_pinned(tmp_path, fmt, digest):
+    out = tmp_path / f"verify.{fmt}"
+    payload = {"experiment": "verify", "output": {"path": str(out), "format": fmt}}
+    assert main(["--config", write_config(tmp_path, payload)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
