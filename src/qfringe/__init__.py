@@ -30,13 +30,11 @@ from .fock import (
     expectation,
     fermionic_mode_ops,
     fock_state,
-    identity,
     number_op,
     tensor_product,
     thermal_state,
 )
 from .oracle import (
-    AmplitudeRecord,
     VerificationCheck,
     amplitude_variation_check,
     fermionic_fringe,

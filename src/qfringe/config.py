@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .diffraction import SlitGeometry, wavenumber
+from .fock import FockSpace, coherent_state
 
 EXPERIMENTS = ("fringe", "qubit", "verify", "compare")
 
@@ -215,6 +216,10 @@ def _parse_source_state(raw: dict | None) -> SourceStateSpec:
             )
         else:
             alpha = complex(_require_number(alpha_raw, "source_state.coherent"))
+        try:
+            coherent_state(FockSpace(cutoff), alpha)
+        except ValueError as exc:
+            raise ConfigError(f"source_state.coherent: {exc}", "source_state.coherent") from None
         return SourceStateSpec(kind="coherent", value=alpha, cutoff=cutoff)
     nbar = _require_number(raw["thermal"], "source_state.thermal")
     if nbar < 0.0:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace, QuantumState, fock_state
-from .tableio import csv_text, json_document
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -177,25 +176,6 @@ class FringeTable:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "probability", p)
         object.__setattr__(self, "raw_intensity", raw)
-
-    def __len__(self) -> int:
-        return self.x.size
-
-    def rows(self):
-        return zip(self.x.tolist(), self.probability.tolist(), self.raw_intensity.tolist())
-
-    def to_csv(self) -> str:
-        return csv_text(
-            ("x_D", "probability", "raw_intensity"), (self.x, self.probability, self.raw_intensity)
-        )
-
-    def to_json(self) -> str:
-        return json_document(
-            [
-                {"x_D": x, "probability": p, "raw_intensity": raw}
-                for x, p, raw in self.rows()
-            ]
-        )
 
 
 def fringe_scan(

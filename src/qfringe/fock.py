@@ -22,9 +22,6 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 TRUNCATION_WARN_THRESHOLD = 1e-6
 
-DEFAULT_SINGLE_MODE_CUTOFF = 16
-DEFAULT_MULTI_MODE_CUTOFF = 8
-
 
 @dataclass(frozen=True)
 class FockSpace:
@@ -73,10 +70,6 @@ def _embed(op: np.ndarray, space: FockSpace, mode: int) -> np.ndarray:
     for j in range(space.mode_count):
         out = np.kron(out, op if j == mode else eye)
     return out
-
-
-def identity(space: FockSpace) -> np.ndarray:
-    return np.eye(space.dim, dtype=complex)
 
 
 def annihilation_op(space: FockSpace, mode: int = 0) -> np.ndarray:
@@ -214,7 +207,7 @@ def coherent_state(space: FockSpace, alpha: complex) -> QuantumState:
         amps[n] = term
     kept = float(np.vdot(amps, amps).real)
     if kept <= 0.0:
-        raise ValueError("coherent amplitude too large for this cutoff")
+        raise ValueError(f"|alpha| = {abs(alpha):g} is too large: the kept weight underflows to 0")
     lost = max(0.0, 1.0 - kept)
     return QuantumState("pure", amps / math.sqrt(kept), lost_weight=lost)
 

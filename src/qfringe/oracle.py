@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .fock import (
     fock_state,
     number_op,
 )
-from .tableio import json_document
 
 _SUITE_SEED = 20260809
 
@@ -174,61 +172,20 @@ def transition_probability_oracle(params: qubit.QubitModelParams, t):
     return float(values) if values.ndim == 0 else values
 
 
-@dataclass(frozen=True)
-class AmplitudeRecord:
-    """Transition amplitude <b, t2 | a, t1> between labeled endpoint states."""
-
-    bra_label: str
-    ket_label: str
-    t1: float
-    t2: float
-    amplitude: complex
-
-    def __post_init__(self):
-        if abs(self.amplitude) > 1.0 + 1e-12:
-            raise ValueError("amplitude modulus exceeds 1 for normalized endpoints")
-
-
-def transition_amplitude(
-    bra_label: str,
-    ket_label: str,
-    h: np.ndarray,
-    t1: float,
-    t2: float,
-    states: Mapping[str, np.ndarray],
-) -> AmplitudeRecord:
-    bra = np.asarray(states[bra_label], dtype=complex)
-    ket = np.asarray(states[ket_label], dtype=complex)
-    u = unitary_evolution(h, t2 - t1)
-    return AmplitudeRecord(
-        bra_label=bra_label,
-        ket_label=ket_label,
-        t1=float(t1),
-        t2=float(t2),
-        amplitude=complex(np.vdot(bra, u @ ket)),
-    )
-
-
 def amplitude_variation_check(
-    a_label: str,
-    b_label: str,
-    h: np.ndarray,
-    t1: float,
-    t2: float,
-    eps: float,
-    states: Mapping[str, np.ndarray],
+    ket: np.ndarray, bra: np.ndarray, h: np.ndarray, t1: float, t2: float, eps: float
 ) -> float:
     """Residual of the time variation of the transition amplitude.
 
-    Compares the centered finite difference of <b|exp(-iH(t2-t1))|a> in t2
-    against the generator form -i <b|H exp(-iH(t2-t1))|a>; the residual
+    Compares the centered finite difference of <bra|exp(-iH(t2-t1))|ket> in t2
+    against the generator form -i <bra|H exp(-iH(t2-t1))|ket>; the residual
     scales as eps^2.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     h = _require_hermitian(h)
-    bra = np.asarray(states[b_label], dtype=complex)
-    ket = np.asarray(states[a_label], dtype=complex)
+    bra = np.asarray(bra, dtype=complex)
+    ket = np.asarray(ket, dtype=complex)
     tau = float(t2) - float(t1)
 
     def amplitude(dt: float) -> complex:
@@ -264,13 +221,6 @@ def _canonical_geometry() -> diffraction.SlitGeometry:
         screen_z=1.0,
         k=diffraction.wavenumber(500e-9),
     )
-
-
-def _qubit_states(params: qubit.QubitModelParams) -> dict[str, np.ndarray]:
-    return {
-        "+": qubit.plus_state(params).data,
-        "-": qubit.minus_state(params).data,
-    }
 
 
 def run_verification_suite() -> list[VerificationCheck]:
@@ -388,16 +338,16 @@ def run_verification_suite() -> list[VerificationCheck]:
     ratio = leapfrog_error(100) / leapfrog_error(200)
     checks.append(_check("leapfrog_convergence_order", abs(ratio - 4.0), 0.3))
 
-    states = _qubit_states(params)
+    plus, minus = qubit.plus_state(params).data, qubit.minus_state(params).data
     checks.append(
         _check(
             "amplitude_variation_residual",
-            amplitude_variation_check("+", "-", h_qubit, 0.0, 0.7, 1e-4, states),
+            amplitude_variation_check(plus, minus, h_qubit, 0.0, 0.7, 1e-4),
             1e-8,
         )
     )
     residuals = [
-        amplitude_variation_check("+", "-", h_qubit, 0.0, 0.7, e, states)
+        amplitude_variation_check(plus, minus, h_qubit, 0.0, 0.7, e)
         for e in (1e-3, 5e-4, 2.5e-4)
     ]
     scaling_dev = max(
@@ -451,19 +401,3 @@ def run_verification_suite() -> list[VerificationCheck]:
     checks.append(_check("fermionic_car_exactness", car_dev, 0.0))
 
     return checks
-
-
-def report_to_json(checks: list[VerificationCheck]) -> str:
-    payload = {
-        "checks": [
-            {
-                "check": c.check,
-                "max_deviation": c.max_deviation,
-                "tolerance": c.tolerance,
-                "pass": c.passed,
-            }
-            for c in checks
-        ],
-        "all_pass": all(c.passed for c in checks),
-    }
-    return json_document(payload)

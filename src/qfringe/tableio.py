@@ -1,10 +1,12 @@
 """Deterministic text serialization for result tables and reports.
 
-Reals are written with 17 significant digits so that repeated runs of the
-same configuration produce byte-identical files. CSV tables are passed as
-columns: each column picks its cell format once, and one %-format of a
-repeated row template writes the whole table, so no Python call is made
-per cell of a float column.
+`qfringe.runner` writes every experiment's table through `csv_text` or
+`json_document`. Reals are written with 17 significant digits so that
+repeated runs of the same configuration produce byte-identical files.
+Booleans, Python or numpy, are written as `true`/`false`. CSV tables are
+passed as columns: each column picks its cell format once, and one %-format
+of a repeated row template writes the whole table, so no Python call is
+made per cell of a float column.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ def format_real(value) -> str:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, str):
         return value
@@ -68,7 +70,7 @@ def json_text(value, indent: int = 0) -> str:
             return "[]"
         items = [f"{pad}  {json_text(item, indent + 2)}" for item in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, str):
         return json.dumps(value)

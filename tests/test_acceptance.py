@@ -322,11 +322,11 @@ def test_criterion_6_operator_algebra():
 
 def test_criterion_7_amplitude_time_variation():
     params = QubitModelParams(omega=1.0, cutoff=3)
-    states = {"+": plus_state(params).data, "-": minus_state(params).data}
+    plus, minus = plus_state(params).data, minus_state(params).data
     h = hamiltonian(params)
     subchecks = []
 
-    residual = amplitude_variation_check("+", "-", h, 0.0, 0.7, 1e-4, states)
+    residual = amplitude_variation_check(plus, minus, h, 0.0, 0.7, 1e-4)
     subchecks.append(
         (
             "finite-difference residual at eps=1e-4",
@@ -336,7 +336,7 @@ def test_criterion_7_amplitude_time_variation():
     )
 
     residuals = [
-        amplitude_variation_check("+", "-", h, 0.0, 0.7, eps, states)
+        amplitude_variation_check(plus, minus, h, 0.0, 0.7, eps)
         for eps in (1e-3, 5e-4, 2.5e-4)
     ]
     ratios = (residuals[0] / residuals[1], residuals[1] / residuals[2])

@@ -256,19 +256,66 @@ def test_cli_verify_report_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_csv_and_json_agree(tmp_path):
-    config_path = write_config(tmp_path, MINIMAL_FRINGE)
+MINIMAL_QUBIT = {
+    "experiment": "qubit",
+    "qubit": {"cutoff": 2},
+    "scan": {"t_max": 1.0, "n_points": 3},
+}
+MINIMAL_COMPARE = dict(
+    MINIMAL_FRINGE, experiment="compare", scan=dict(MINIMAL_FRINGE["scan"], n_points=21)
+)
+CSV_JSON_CASES = [
+    # (config, flags, CSV header, row count or None, JSON key of the rows or None: a bare list)
+    (MINIMAL_FRINGE, [], "x_D,probability,raw_intensity", 101, None),
+    (MINIMAL_FRINGE, ["--far-field"], "x_D,probability,raw_intensity", 101, None),
+    (MINIMAL_QUBIT, [], "t,probability", 3, None),
+    (MINIMAL_COMPARE, [], "x_D,heisenberg,oracle,abs_deviation", 21, "rows"),
+    ({"experiment": "verify"}, [], "check,max_deviation,tolerance,pass", None, "checks"),
+]
+
+
+@pytest.mark.parametrize(
+    "payload, flags, header, n_rows, rows_key",
+    CSV_JSON_CASES,
+    ids=["fringe_exact", "fringe_far_field", "qubit", "compare", "verify"],
+)
+def test_cli_csv_and_json_agree(tmp_path, payload, flags, header, n_rows, rows_key):
+    config_path = write_config(tmp_path, payload)
     csv_out = tmp_path / "t.csv"
     json_out = tmp_path / "t.json"
-    assert main(["--config", config_path, "--output", str(csv_out), "--format", "csv"]) == 0
-    assert main(["--config", config_path, "--output", str(json_out), "--format", "json"]) == 0
-    csv_rows = [line.split(",") for line in csv_out.read_text().strip().split("\n")[1:]]
-    json_rows = json.loads(json_out.read_text())
+    for out, fmt in ((csv_out, "csv"), (json_out, "json")):
+        assert main(["--config", config_path, "--output", str(out), "--format", fmt, *flags]) == 0
+    lines = csv_out.read_text().strip().split("\n")
+    assert lines[0] == header
+    names = header.split(",")
+    footer = [line for line in lines[1:] if line.startswith("#")]
+    csv_rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    document = json.loads(json_out.read_text())
+    json_rows = document.pop(rows_key) if rows_key else document
     assert len(csv_rows) == len(json_rows)
+    if n_rows is not None:
+        assert len(csv_rows) == n_rows
+    if names[0] != "check":
+        first = [float(cells[0]) for cells in csv_rows]
+        assert first == sorted(first)
     for cells, row in zip(csv_rows, json_rows):
-        assert float(cells[0]) == row["x_D"]
-        assert float(cells[1]) == row["probability"]
-        assert float(cells[2]) == row["raw_intensity"]
+        assert list(row) == names
+        for name, cell in zip(names, cells):
+            value = row[name]
+            if isinstance(value, bool):
+                assert cell == ("true" if value else "false")
+            elif isinstance(value, str):
+                assert cell == value
+            else:
+                assert float(cell) == value
+    if rows_key == "rows":
+        assert document == {"max_abs_deviation": max(row["abs_deviation"] for row in json_rows)}
+        assert len(footer) == 1 and footer[0].startswith("# max_abs_deviation = ")
+        assert float(footer[0].split(" = ")[1]) == document["max_abs_deviation"]
+    elif rows_key == "checks":
+        assert document == {"all_pass": True} and all(row["pass"] for row in json_rows)
+    else:
+        assert footer == []
 
 
 def test_cli_far_field_flag_changes_fringe_mode(tmp_path):
@@ -310,6 +357,32 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, section, key, value):
     err = capsys.readouterr().err
     assert "config error" in err and f"{section}.{key}" in err and "finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", [40.0, 1000.0])
+def test_cli_rejects_coherent_amplitude_beyond_float_range(tmp_path, capsys, alpha):
+    # exp(-|alpha|^2 / 2) underflows, so no Fock amplitude of the state is left.
+    out = tmp_path / "fringe.csv"
+    payload = dict(MINIMAL_FRINGE, source_state={"coherent": alpha}, output={"path": str(out)})
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(payload))
+    assert excinfo.value.field == "source_state.coherent"
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config error" in err and "source_state.coherent" in err
+    assert not out.exists()
+
+
+def test_cli_verify_nan_deviation_is_a_failed_check(tmp_path, monkeypatch):
+    # The report is not guarded like a result table: NaN is a failed check (exit 1), not exit 4.
+    from qfringe import oracle
+
+    nan_check = oracle.VerificationCheck("nan_check", math.nan, 1e-10, False)
+    monkeypatch.setattr(oracle, "run_verification_suite", lambda: [nan_check])
+    out = tmp_path / "verify.csv"
+    payload = {"experiment": "verify", "output": {"path": str(out), "format": "csv"}}
+    assert main(["--config", write_config(tmp_path, payload)]) == 1
+    assert out.read_text() == "check,max_deviation,tolerance,pass\nnan_check,nan,1e-10,false\n"
 
 
 def test_cli_exit_code_missing_config(tmp_path, capsys):

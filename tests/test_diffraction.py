@@ -1,4 +1,3 @@
-import json
 import math
 
 import mpmath
@@ -327,23 +326,6 @@ def test_fringe_scan_vacuum_source():
     table = fringe_scan(geom, -0.01, 0.01, 11, mode="exact", state=vacuum)
     assert np.all(table.probability == 0.0)
     assert np.all(table.raw_intensity == 0.0)
-
-
-def test_fringe_table_serialization_round_trip():
-    table = fringe_scan(canonical_geometry(), -0.01, 0.01, 5, mode="far_field")
-    csv_lines = table.to_csv().strip().split("\n")
-    assert csv_lines[0] == "x_D,probability,raw_intensity"
-    assert len(csv_lines) == 6
-    xs = [float(line.split(",")[0]) for line in csv_lines[1:]]
-    assert xs == sorted(xs)
-
-    parsed = json.loads(table.to_json())
-    assert len(parsed) == 5
-    for row, line in zip(parsed, csv_lines[1:]):
-        cells = [float(cell) for cell in line.split(",")]
-        assert row["x_D"] == cells[0]
-        assert row["probability"] == cells[1]
-        assert row["raw_intensity"] == cells[2]
 
 
 def test_fringe_table_probability_bounds():

@@ -15,7 +15,6 @@ from qfringe import (
     expectation,
     fermionic_mode_ops,
     fock_state,
-    identity,
     number_op,
     tensor_product,
     thermal_state,
@@ -237,7 +236,3 @@ def test_fermionic_three_modes_mixed_pairs():
         for j in range(i + 1, 3):
             assert np.all(anticommutator(ops[i], ops[j]) == 0.0)
             assert np.all(anticommutator(ops[i], dagger(ops[j])) == 0.0)
-
-
-def test_identity_shape():
-    assert np.array_equal(identity(FockSpace(3, 2)), np.eye(9))

@@ -33,7 +33,7 @@ from qfringe import (
     wavenumber,
 )
 from qfringe.oracle import _expm
-from qfringe.tableio import csv_text
+from qfringe.tableio import csv_text, json_document
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 CUTOFF = 12
@@ -265,5 +265,10 @@ def test_csv_text_mixed_columns_match_per_row_reference():
     header = ("check", "max_deviation", "tolerance", "pass")
     columns = (names, deviations, tolerances, passed)
     assert csv_text(header, columns) == per_row_csv_text(header, zip(*columns))
+    # numpy booleans are written like Python ones, in CSV and in JSON.
+    numpy_columns = (names, deviations, tolerances, np.array(passed))
+    assert csv_text(header, numpy_columns) == csv_text(header, columns)
+    assert json_document(list(numpy_columns[3])) == json_document(passed)
+    assert json_document(passed) == "[\n  true,\n  false,\n  false\n]\n"
     with pytest.raises(ValueError):
         csv_text(header, (names, deviations[:2], tolerances, passed))

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -28,7 +27,6 @@ from qfringe import (
     transition_probability,
     two_mode_space,
 )
-from qfringe.runner import flip_curve_text
 
 # Structure-constant sign of the bilinear algebra, measured by the
 # brute-force commutator below and frozen here.
@@ -418,19 +416,6 @@ def test_pauli_set_validation_rejects_non_product_dimension():
     eye = np.eye(3, dtype=complex)
     with pytest.raises(ValueError, match="two-mode product space"):
         SecondQuantizedPauli(sigma_x=eye, sigma_y=eye, sigma_z=eye)
-
-
-def test_evolution_result_serialization():
-    params = QubitModelParams(omega=1.0, cutoff=2)
-    result = integrate_quadratures(params, 1.0, 100, record_stride=50)
-    csv_lines = flip_curve_text(result.times, result.probabilities, "csv").strip().split("\n")
-    assert csv_lines[0] == "t,probability"
-    assert len(csv_lines) == 4
-    parsed = json.loads(flip_curve_text(result.times, result.probabilities, "json"))
-    for row, line in zip(parsed, csv_lines[1:]):
-        t_cell, p_cell = (float(cell) for cell in line.split(","))
-        assert row["t"] == t_cell
-        assert row["probability"] == p_cell
 
 
 def test_quadrature_set_validation():
