@@ -31,6 +31,11 @@ DEFAULT_QUBIT_OMEGA = 1.0
 DEFAULT_QUBIT_CUTOFF = 8
 DEFAULT_FORMAT = "csv"
 
+# A qubit run keeps about five dense complex dim x dim operators, dim = cutoff**2,
+# alive at once; qubit.cutoff is capped so that they fit in this budget (60 at 1 GiB).
+QUBIT_MEMORY_BUDGET_BYTES = 2**30
+MAX_QUBIT_CUTOFF = math.isqrt(math.isqrt(QUBIT_MEMORY_BUDGET_BYTES // (5 * 16)))
+
 
 class ConfigError(ValueError):
     def __init__(self, message: str, field: str | None = None):
@@ -268,8 +273,8 @@ def _parse_qubit(raw: dict | None) -> QubitSpec:
     _check_keys(raw, _QUBIT_KEYS, "qubit")
     omega = _require_number(raw.get("omega", DEFAULT_QUBIT_OMEGA), "qubit.omega")
     cutoff = _require_int(raw.get("cutoff", DEFAULT_QUBIT_CUTOFF), "qubit.cutoff")
-    if cutoff < 2:
-        raise ConfigError("qubit.cutoff must be at least 2", field="qubit.cutoff")
+    if not 2 <= cutoff <= MAX_QUBIT_CUTOFF:
+        raise ConfigError(f"qubit.cutoff must lie in [2, {MAX_QUBIT_CUTOFF}]", field="qubit.cutoff")
     return QubitSpec(omega=omega, cutoff=cutoff)
 
 

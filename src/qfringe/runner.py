@@ -14,7 +14,7 @@ from .config import RunConfig, SourceStateSpec
 from .diffraction import DegenerateGeometryError, fringe_scan, single_photon_fringe
 from .fock import FockSpace, QuantumState, coherent_state, fock_state, thermal_state
 from .qubit import QubitModelParams, transition_probability
-from .tableio import csv_text, format_real, json_document
+from .tableio import csv_text, json_document
 
 
 def build_source_state(spec: SourceStateSpec) -> QuantumState:
@@ -46,7 +46,7 @@ class _Table:
     columns: dict
     rows_key: str | None = None
     summary: dict = field(default_factory=dict)
-    csv_footer: str = ""
+    csv_footer: bool = False  # also write `summary` as `# name = value` lines after the CSV rows
 
 
 def _fringe_table(config: RunConfig) -> _Table:
@@ -80,12 +80,7 @@ def _compare_table(config: RunConfig) -> _Table:
     deviations = np.abs(heisenberg - oracle_vals)
     columns = dict(x_D=xs, heisenberg=heisenberg, oracle=oracle_vals, abs_deviation=deviations)
     max_dev = float(_require_finite(columns)["abs_deviation"].max())
-    return _Table(
-        columns,
-        rows_key="rows",
-        summary={"max_abs_deviation": max_dev},
-        csv_footer=f"# max_abs_deviation = {format_real(max_dev)}\n",
-    )
+    return _Table(columns, rows_key="rows", summary={"max_abs_deviation": max_dev}, csv_footer=True)
 
 
 def _verify_table(config: RunConfig) -> _Table:
@@ -110,18 +105,20 @@ def run(config: RunConfig) -> int:
 
     fringe and compare write screen-scan tables, qubit writes the flip
     probability over time, and verify writes the check report, failing
-    (exit 1) when any registered check fails. Every table is written by the
-    one branch below: CSV is a header line and one row per point (compare
-    adds a `# max_abs_deviation = ...` footer); JSON is a list of row records
-    (compare and verify wrap it as `{"rows": ..., "max_abs_deviation": ...}`
-    and `{"checks": ..., "all_pass": ...}`).
+    (exit 1) when any registered check fails. `csv_text` writes a header line
+    and one row per point (compare adds a `# max_abs_deviation = ...` footer);
+    `json_document` a list of row records (compare and verify wrap it as
+    `{"rows": ..., "max_abs_deviation": ...}` and `{"checks": ..., "all_pass": ...}`).
+    numpy's floating-point warnings are off while the table is built: a
+    non-finite value is reported once, by `_require_finite` (exit 4), or is a
+    failed check.
     """
-    table = _TABLES[config.experiment](config)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table = _TABLES[config.experiment](config)
     names, columns = tuple(table.columns), tuple(table.columns.values())
     if config.output.format == "csv":
-        text = csv_text(names, columns) + table.csv_footer
+        text = csv_text(names, columns, table.summary if table.csv_footer else {})
     else:
-        rows = [dict(zip(names, row)) for row in zip(*(column.tolist() for column in columns))]
-        text = json_document({table.rows_key: rows, **table.summary} if table.rows_key else rows)
+        text = json_document(names, columns, table.rows_key, table.summary)
     _write_text(config.output.path, text)
     return 0 if table.summary.get("all_pass", True) else 1

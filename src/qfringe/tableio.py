@@ -1,85 +1,81 @@
-"""Deterministic text serialization for result tables and reports.
+"""Deterministic text serialization for result tables.
 
-`qfringe.runner` writes every experiment's table through `csv_text` or
-`json_document`. Reals are written with 17 significant digits so that
-repeated runs of the same configuration produce byte-identical files.
-Booleans, Python or numpy, are written as `true`/`false`. CSV tables are
-passed as columns: each column picks its cell format once, and one %-format
-of a repeated row template writes the whole table, so no Python call is
-made per cell of a float column.
+`qfringe.runner` writes every table through `csv_text` or `json_document`.
+Both take named columns, and each column picks its cell format once: "%.17g"
+for reals (so repeated runs give byte-identical files), `true`/`false` for
+Python or numpy booleans, strings raw in CSV and quoted in JSON, where a
+non-finite real is `null`. One %-format of a repeated row template then
+writes the whole table, with no Python call per cell of a float column.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 
-def format_real(value) -> str:
-    return format(float(value), ".17g")
+def _column(column, quote: bool) -> tuple[str, list]:
+    """One column's %-spec and the cells it formats; `quote` selects JSON cells."""
+    values = np.asarray(column)
+    cells = values.tolist()
+    if values.dtype.kind == "f":
+        if not quote or np.isfinite(values).all():
+            return "%.17g", cells
+        return "%s", ["%.17g" % cell if math.isfinite(cell) else "null" for cell in cells]
+    if values.dtype.kind == "b":
+        return "%s", ["true" if cell else "false" for cell in cells]
+    return "%s", [json.dumps(cell) for cell in cells] if quote else cells
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int,)):
-        return str(value)
-    return format_real(value)
+def _cells(columns: Sequence[Sequence], quote: bool) -> tuple[list[str], tuple, int]:
+    """Column specs, all cells in row order, and the row count of equal-length columns."""
+    specs_and_cells = [_column(column, quote) for column in columns]
+    cells = [column for _, column in specs_and_cells]
+    rows = tuple(chain.from_iterable(zip(*cells, strict=True)))
+    return [spec for spec, _ in specs_and_cells], rows, len(cells[0]) if cells else 0
 
 
-def csv_text(header: Sequence[str], columns: Sequence[Sequence]) -> str:
-    """CSV text of equal-length `columns`, one header name per column.
-
-    A column that numpy reads as floating point is written with "%.17g",
-    which gives the same text as `format_real`. Any other column (check
-    names, pass flags) is formatted cell by cell with `_format_cell`. The
-    rows are written by one %-format of a repeated row template over all
-    cells in row order.
-    """
-    specs, cells = [], []
-    for column in columns:
-        values = np.asarray(column)
-        if values.dtype.kind == "f":
-            specs.append("%.17g")
-            cells.append(values.tolist())
-        else:
-            specs.append("%s")
-            cells.append([_format_cell(value) for value in column])
-    template = (",".join(specs) + "\n") * (len(cells[0]) if cells else 0)
-    body = template % tuple(chain.from_iterable(zip(*cells, strict=True)))
-    return ",".join(header) + "\n" + body
+def _scalars(summary: Mapping, quote: bool) -> tuple[list[str], tuple]:
+    """Specs and cells of one-row values, such as a summary or footer."""
+    return _cells([[value] for value in summary.values()], quote)[:2]
 
 
-def json_text(value, indent: int = 0) -> str:
+def _record(names: Sequence[str], specs: Sequence[str], indent: int) -> str:
+    """Template of one JSON object whose closing brace sits `indent` spaces in."""
     pad = " " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(key)}: {json_text(val, indent + 2)}'
-            for key, val in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{pad}  {json_text(item, indent + 2)}" for item in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, int):
-        return str(value)
-    if value is None:
-        return "null"
-    return format_real(value)
+    fields = (f"{pad}  {json.dumps(name).replace('%', '%%')}: {spec}" for name, spec in zip(names, specs))
+    return "{\n" + ",\n".join(fields) + f"\n{pad}}}"
 
 
-def json_document(value) -> str:
-    return json_text(value) + "\n"
+def csv_text(header: Sequence[str], columns: Sequence[Sequence], footer: Mapping = {}) -> str:
+    """CSV text of equal-length `columns`: a header line, then one line per row.
+
+    Each `footer` entry follows the rows as a `# name = value` line.
+    """
+    specs, cells, n_rows = _cells(columns, quote=False)
+    body = ((",".join(specs) + "\n") * n_rows) % cells
+    footer_specs, footer_cells = _scalars(footer, quote=False)
+    lines = "".join(f"# {name.replace('%', '%%')} = {spec}\n" for name, spec in zip(footer, footer_specs))
+    return ",".join(header) + "\n" + body + lines % footer_cells
+
+
+def json_document(
+    header: Sequence[str], columns: Sequence[Sequence], rows_key: str | None = None, summary: Mapping = {}
+) -> str:
+    """JSON text of equal-length `columns`: a list of row records, one key per column.
+
+    With `rows_key` set, the list is wrapped as `{rows_key: [...], **summary}`.
+    """
+    depth = 0 if rows_key is None else 2
+    specs, cells, n_rows = _cells(columns, quote=True)
+    item = " " * (depth + 2) + _record(header, specs, depth + 2)
+    body = ",\n".join([item] * n_rows) % cells
+    rows = f"[\n{body}\n{' ' * depth}]" if n_rows else "[]"
+    if rows_key is not None:
+        summary_specs, summary_cells = _scalars(summary, quote=True)
+        rows = _record((rows_key, *summary), ("%s", *summary_specs), 0) % (rows, *summary_cells)
+    return rows + "\n"

@@ -1,14 +1,21 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qfringe
 from qfringe import ConfigError, parse_config
 from qfringe.cli import main
-from qfringe.config import apply_overrides, load_config
+from qfringe.config import MAX_QUBIT_CUTOFF, QUBIT_MEMORY_BUDGET_BYTES, apply_overrides, load_config
 from qfringe.runner import build_source_state, run
+
+SRC_DIR = str(Path(qfringe.__file__).resolve().parents[1])
 
 MINIMAL_FRINGE = {
     "experiment": "fringe",
@@ -385,6 +392,49 @@ def test_cli_verify_nan_deviation_is_a_failed_check(tmp_path, monkeypatch):
     assert out.read_text() == "check,max_deviation,tolerance,pass\nnan_check,nan,1e-10,false\n"
 
 
+def test_cli_verify_json_writes_null_for_non_finite_deviation(tmp_path, monkeypatch):
+    # JSON has no NaN or infinity: a non-finite deviation is written as null
+    # and stays a failed check (exit 1).
+    from qfringe import oracle
+
+    checks = [
+        oracle.VerificationCheck("a", math.nan, 1e-10, False),
+        oracle.VerificationCheck("b", -math.inf, 1e-10, False),
+    ]
+    monkeypatch.setattr(oracle, "run_verification_suite", lambda: checks)
+    out = tmp_path / "verify.json"
+    payload = {"experiment": "verify", "output": {"path": str(out), "format": "json"}}
+    assert main(["--config", write_config(tmp_path, payload)]) == 1
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert [check["max_deviation"] for check in report["checks"]] == [None, None]
+    assert [check["pass"] for check in report["checks"]] == [False, False]
+    assert report["all_pass"] is False
+
+
+def test_qubit_cutoff_capped_by_memory_budget(tmp_path, capsys):
+    # About five dense operators of 16 * cutoff**4 bytes each must fit in the budget.
+    assert 5 * 16 * MAX_QUBIT_CUTOFF**4 <= QUBIT_MEMORY_BUDGET_BYTES < 5 * 16 * (MAX_QUBIT_CUTOFF + 1) ** 4
+    payload = {"experiment": "qubit", "scan": {"t_max": 1.0, "n_points": 5}}
+    for cutoff in (2, 8, 16, MAX_QUBIT_CUTOFF):
+        config = parse_config(json.dumps(dict(payload, qubit={"cutoff": cutoff})))
+        assert config.qubit.cutoff == cutoff
+    for cutoff in (1, MAX_QUBIT_CUTOFF + 1, 200, 10**12):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(json.dumps(dict(payload, qubit={"cutoff": cutoff})))
+        assert excinfo.value.field == "qubit.cutoff"
+        assert f"[2, {MAX_QUBIT_CUTOFF}]" in str(excinfo.value)
+    # The CLI rejects it while parsing, before any operator is built.
+    rejected = dict(payload, qubit={"cutoff": 200}, output={"path": str(tmp_path / "qubit.csv")})
+    assert main(["--config", write_config(tmp_path, rejected)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: qubit.cutoff must lie in [2, {MAX_QUBIT_CUTOFF}]"]
+    assert not (tmp_path / "qubit.csv").exists()
+
+
 def test_cli_exit_code_missing_config(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "absent.json")]) == 3
     assert "i/o error" in capsys.readouterr().err
@@ -413,10 +463,13 @@ def test_cli_exit_code_degenerate_geometry(tmp_path, capsys):
             assert not out.exists()
 
 
-def test_cli_exit_code_non_finite_result(tmp_path, capsys):
+def test_cli_exit_code_non_finite_result(tmp_path):
     # screen_z**2 is subnormal but not 0, so the leg to the slit at +5 um is
     # tiny rather than zero and |T|^2 overflows: the table would hold inf
-    # and nan, so nothing is written.
+    # and nan, so nothing is written. The CLI runs as its own process, so a
+    # numpy floating-point warning would reach its stderr beside the one error line.
+    paths = [SRC_DIR, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in paths if path))
     for experiment in ("fringe", "compare"):
         out = tmp_path / f"{experiment}.csv"
         payload = {
@@ -425,11 +478,12 @@ def test_cli_exit_code_non_finite_result(tmp_path, capsys):
             "scan": {"x_min": 0.0, "x_max": 5e-6, "n_points": 3},
             "output": {"path": str(out)},
         }
-        assert main(["--config", write_config(tmp_path, payload)]) == 4
-        messages = [
-            line for line in capsys.readouterr().err.splitlines() if "computation error" in line
-        ]
-        assert len(messages) == 1 and "non-finite value in output column" in messages[0]
+        command = [sys.executable, "-m", "qfringe", "--config", write_config(tmp_path, payload)]
+        result = subprocess.run(command, capture_output=True, text=True, env=env, check=False)
+        assert result.returncode == 4
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("computation error: non-finite value in output column")
         assert not out.exists()
 
 

@@ -4,6 +4,7 @@ Examples are drawn with a fixed seed (derandomize) so every run of the suite
 checks the same cases.
 """
 
+import json
 import math
 
 import numpy as np
@@ -268,7 +269,76 @@ def test_csv_text_mixed_columns_match_per_row_reference():
     # numpy booleans are written like Python ones, in CSV and in JSON.
     numpy_columns = (names, deviations, tolerances, np.array(passed))
     assert csv_text(header, numpy_columns) == csv_text(header, columns)
-    assert json_document(list(numpy_columns[3])) == json_document(passed)
-    assert json_document(passed) == "[\n  true,\n  false,\n  false\n]\n"
+    assert json_document(("pass",), (list(numpy_columns[3]),)) == json_document(("pass",), (passed,))
+    records = "[\n  {\n    \"pass\": true\n  },\n  {\n    \"pass\": false\n  },\n  {\n    \"pass\": false\n  }\n]\n"
+    assert json_document(("pass",), (passed,)) == records
+    assert recursive_json_text([{"pass": flag} for flag in passed]) + "\n" == records
+    assert recursive_json_text(passed) + "\n" == "[\n  true,\n  false,\n  false\n]\n"
     with pytest.raises(ValueError):
         csv_text(header, (names, deviations[:2], tolerances, passed))
+    assert csv_text(("x%s",), ([0.5],), {"max%s": -0.0}) == "x%s\n0.5\n# max%s = -0\n"
+
+
+def recursive_json_text(value, indent=0):
+    """The recursive per-cell JSON serializer that the row-template `json_document` replaced."""
+    pad = " " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{pad}  {json.dumps(key)}: {recursive_json_text(val, indent + 2)}" for key, val in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [f"{pad}  {recursive_json_text(item, indent + 2)}" for item in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, int):
+        return str(value)
+    if value is None:
+        return "null"
+    return format(float(value), ".17g")
+
+
+def reference_json_document(header, columns, rows_key=None, summary=None):
+    rows = [dict(zip(header, row)) for row in zip(*(np.asarray(column).tolist() for column in columns))]
+    return recursive_json_text({rows_key: rows, **summary} if rows_key else rows) + "\n"
+
+
+@st.composite
+def verify_shaped_columns(draw):
+    """Check names, deviations, tolerances and pass flags, under arbitrary distinct names."""
+    n_rows = draw(st.integers(0, 20))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    header = draw(st.lists(st.text(max_size=8), min_size=4, max_size=4, unique=True))
+    columns = [
+        draw(st.lists(st.text(max_size=12), min_size=n_rows, max_size=n_rows)),
+        np.array(draw(st.lists(finite, min_size=n_rows, max_size=n_rows)), dtype=float),
+        draw(st.lists(finite, min_size=n_rows, max_size=n_rows)),
+        np.array(draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)), dtype=bool),
+    ]
+    return header, columns
+
+
+WRAPPERS = st.sampled_from([(None, None), ("rows", {"max_abs_deviation": 2.5e-17}), ("checks", {"all_pass": False})])
+EXTREMES = [np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])]
+
+
+@PROPERTY
+@given(float_columns(), WRAPPERS)
+@example(EXTREMES, (None, None))
+@example(EXTREMES, ("rows", {"max_abs_deviation": -0.0}))
+def test_json_document_float_columns_match_recursive_reference(columns, wrapper):
+    header = [f"c{j}" for j in range(len(columns))]
+    assert json_document(header, columns, *wrapper) == reference_json_document(header, columns, *wrapper)
+
+
+@PROPERTY
+@given(verify_shaped_columns(), WRAPPERS)
+@example((["check", "max%sdeviation", "tol%", "pass"], [["a%s"], np.array([1.5]), [0.1], np.array([True])]), (None, None))
+def test_json_document_mixed_columns_match_recursive_reference(table, wrapper):
+    header, columns = table
+    assert json_document(header, columns, *wrapper) == reference_json_document(header, columns, *wrapper)
