@@ -50,6 +50,7 @@ from .qubit import (
     QuadratureSet,
     QubitModelParams,
     SecondQuantizedPauli,
+    evolved_quadratures,
     hamiltonian,
     heisenberg_rhs,
     integrate_quadratures,

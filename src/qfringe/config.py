@@ -302,6 +302,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError("config parse error: nested too deeply") from exc
     raw = _require_mapping(raw, "config")
     _check_keys(raw, _TOP_KEYS, "")
     if "experiment" not in raw:
@@ -359,7 +361,11 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not valid UTF-8: {exc.reason}") from exc
+    return parse_config(text)
 
 
 def apply_overrides(

@@ -245,24 +245,27 @@ def heisenberg_rhs(quads: QuadratureSet, params: QubitModelParams) -> Quadrature
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Recorded operator trajectory and derived transition probabilities."""
+    """Leapfrog records: times, quadrature coefficients and flip probabilities.
+
+    `coefficients[k, m]` holds (qq, qp, pq, pp) of mode m (0: x, p_x; 1: y, p_y) at
+    `times[k]`: q(t) = qq q + qp p, p(t) = pq q + pp p (see `evolved_quadratures`).
+    """
 
     times: np.ndarray
-    operators_at_t: tuple[QuadratureSet, ...]
+    coefficients: np.ndarray
     probabilities: np.ndarray
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
+        coefficients = np.asarray(self.coefficients, dtype=float)
         probs = np.asarray(self.probabilities, dtype=float)
-        if not (times.size == len(self.operators_at_t) == probs.size):
-            raise ValueError("times, snapshots and probabilities must align")
-        if probs.size and (probs.min() < 0.0 or probs.max() > 1.0 + 1e-9):
-            raise ValueError("probabilities must lie in [0, 1]")
-        times.setflags(write=False)
-        probs.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "operators_at_t", tuple(self.operators_at_t))
+        if not (coefficients.shape == (times.size, 2, 4) and probs.size == times.size):
+            raise ValueError("times, coefficients and probabilities must align")
+        for name, values in (("times", times), ("coefficients", coefficients), ("probabilities", probs)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
 
 def plus_state(params: QubitModelParams) -> QuantumState:
@@ -275,32 +278,26 @@ def plus_state(params: QubitModelParams) -> QuantumState:
 
 
 def minus_state(params: QubitModelParams) -> QuantumState:
-    space = two_mode_space(params)
-    vec = np.zeros(space.dim, dtype=complex)
-    vec[space.index((1, 0))] = 1.0 / _SQRT2
-    vec[space.index((0, 1))] = -1.0 / _SQRT2
+    vec = plus_state(params).data.copy()
+    vec[two_mode_space(params).index((0, 1))] *= -1.0
     return QuantumState("pure", vec)
 
 
-def _survival_to_flip(plus_vec: np.ndarray, evolved_plus: np.ndarray) -> float:
-    """Flip probability from Sigma_X(t)|+>, given as `evolved_plus`."""
-    value = 0.5 * (1.0 - np.vdot(plus_vec, evolved_plus).real)
-    if -1e-9 < value < 0.0:
-        value = 0.0
-    return float(value)
+def _flip_readout(plus_vec: np.ndarray, evolved_plus: np.ndarray) -> np.ndarray:
+    """Flip probabilities 0.5 (1 - Re<+|Sigma_X(t)|+>) from Sigma_X(t)|+> on the last axis."""
+    values = 0.5 * (1.0 - (evolved_plus @ plus_vec.conj()).real)
+    return np.where((-1e-9 < values) & (values < 0.0), 0.0, values)
 
 
-def _project(op: np.ndarray, onto: np.ndarray) -> float:
-    """Real coefficient of `onto` in `op` under the Frobenius inner product."""
-    return np.vdot(onto, op).real / np.vdot(onto, onto).real
-
-
-def _leapfrog_mode(drift: float, kick: float, steps: list[int]):
+def _leapfrog_mode(q, p, dq_dt, dp_dt, h: float, steps: list[int]):
     """Kick-drift-kick steps of one mode's coefficients, recorded at `steps` (from 0).
 
-    The mode's quadratures are q(t) = qq q + qp p and p(t) = pq q + pp p; a kick
-    adds `kick` times q to p and a drift adds `drift` times p to q.
+    The mode's quadratures are q(t) = qq q + qp p and p(t) = pq q + pp p. With
+    dq/dt = a p and dp/dt = b q (a, b read by Frobenius projection), a kick adds
+    b h/2 times q to p and a drift adds a h times p to q.
     """
+    drift = float(np.vdot(p, dq_dt).real / np.vdot(p, p).real) * h
+    kick = float(np.vdot(q, dp_dt).real / np.vdot(q, q).real) * h / 2.0
     qq, qp, pq, pp = 1.0, 0.0, 0.0, 1.0
     recorded = [(qq, qp, pq, pp)]
     for done, target in zip(steps, steps[1:]):
@@ -330,48 +327,48 @@ def integrate_quadratures(
     and the kick-drift-kick steps act on those coefficients as plain floats.
     The steps are symplectic, so the canonical commutators are carried along
     exactly; the solution converges at second order to the rotation of each
-    mode pair at omega/2. Operator snapshots are built only every
-    `record_stride` steps (about 100 records by default), together with the
-    flip probability derived from Sigma_X(t) = x(t) y(t) + p_x(t) p_y(t).
+    mode pair at omega/2, and is unstable (rejected) for |omega| h >= 4. The
+    coefficients are recorded every `record_stride` steps (about 100 records by
+    default), each with its flip probability from Sigma_X(t) = x(t) y(t) +
+    p_x(t) p_y(t): a weighted sum of the four fixed products x y|+>, x p_y|+>,
+    p_x y|+>, p_x p_y|+>. Being second-order accurate, it may exceed 1 slightly.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
-    if t_final < 0.0:
-        raise ValueError(f"t_final must be nonnegative, got {t_final}")
+    if not 0.0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
     if record_stride is None:
         record_stride = max(1, n_steps // 100)
     elif record_stride < 1:
         raise ValueError(f"record_stride must be at least 1, got {record_stride}")
-    steps = list(range(0, n_steps + 1, record_stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
+    steps = [*range(0, n_steps, record_stride), n_steps]
+    h = t_final / n_steps
+    if abs(params.omega) * h >= 4.0:
+        raise ValueError(f"step {h} is beyond the leapfrog stability limit 4/|omega|")
     start = quadratures(params)
     rhs = heisenberg_rhs(start, params)
-    h = t_final / n_steps
-    x_mode = _leapfrog_mode(
-        _project(rhs.x, start.p_x) * h, _project(rhs.p_x, start.x) * h / 2.0, steps
-    )
-    y_mode = _leapfrog_mode(
-        _project(rhs.y, start.p_y) * h, _project(rhs.p_y, start.y) * h / 2.0, steps
-    )
+    pairs = ((start.x, start.p_x, rhs.x, rhs.p_x), (start.y, start.p_y, rhs.y, rhs.p_y))
+    coefficients = np.stack([_leapfrog_mode(*pair, h, steps) for pair in pairs], axis=1)
     plus_vec = plus_state(params).data
-
-    snapshots = []
-    probabilities = []
-    for (xq, xp, pxq, pxp), (yq, yp, pyq, pyp) in zip(x_mode, y_mode):
-        snap = QuadratureSet(
-            x=xq * start.x + xp * start.p_x,
-            p_x=pxq * start.x + pxp * start.p_x,
-            y=yq * start.y + yp * start.p_y,
-            p_y=pyq * start.y + pyp * start.p_y,
-        )
-        sigma_x_plus = snap.x @ (snap.y @ plus_vec) + snap.p_x @ (snap.p_y @ plus_vec)
-        snapshots.append(snap)
-        probabilities.append(_survival_to_flip(plus_vec, sigma_x_plus))
+    products = np.array([q @ (r @ plus_vec) for q in (start.x, start.p_x) for r in (start.y, start.p_y)])
+    rows = coefficients.reshape(-1, 2, 2, 2)
+    weights = np.einsum("rij,rik->rjk", rows[:, 0], rows[:, 1]).reshape(-1, 4)
     return EvolutionResult(
         times=h * np.array(steps, dtype=float),
-        operators_at_t=tuple(snapshots),
-        probabilities=np.array(probabilities),
+        coefficients=coefficients,
+        probabilities=_flip_readout(plus_vec, weights @ products),
+    )
+
+
+def evolved_quadratures(params: QubitModelParams, record: np.ndarray) -> QuadratureSet:
+    """The quadrature operators of one record of `EvolutionResult.coefficients`."""
+    start = quadratures(params)
+    (xq, xp, pxq, pxp), (yq, yp, pyq, pyp) = record
+    return QuadratureSet(
+        x=xq * start.x + xp * start.p_x,
+        p_x=pxq * start.x + pxp * start.p_x,
+        y=yq * start.y + yp * start.p_y,
+        p_y=pyq * start.y + pyp * start.p_y,
     )
 
 
@@ -393,16 +390,19 @@ def transition_probability(params: QubitModelParams, t):
     Computed in the Heisenberg picture as <+|(I - Sigma_X(t))/2|+> on the
     single-excitation sector; equals sin^2(omega t / 2). `t` is a scalar
     (returns a float) or an array of times (returns an array of that shape).
-    The Pauli basis is built once per call, so Sigma_X(t)|+> costs O(dim)
-    per time: cos(omega t) Sigma_X|+> + sin(omega t) Sigma_Y|+>.
+    The Pauli basis is built once per call; Sigma_X(t)|+> = cos(omega t)
+    Sigma_X|+> + sin(omega t) Sigma_Y|+> is one outer product per block of
+    times, each block holding at most 2**18 entries (4 MiB) whatever the grid.
     """
+    phases = params.omega * np.asarray(t, dtype=float)
+    if not np.isfinite(phases).all():
+        raise ValueError("omega * t must be finite")
     base = pauli_set(params)
     plus_vec = plus_state(params).data
-    u = base.sigma_x @ plus_vec
-    w = base.sigma_y @ plus_vec
-    times = np.asarray(t, dtype=float)
-    phases = [params.omega * time for time in times.ravel().tolist()]
-    values = np.array(
-        [_survival_to_flip(plus_vec, math.cos(ph) * u + math.sin(ph) * w) for ph in phases]
-    ).reshape(times.shape)
+    u, w = base.sigma_x @ plus_vec, base.sigma_y @ plus_vec
+    block = max(1, 2**18 // plus_vec.size)
+    values = np.concatenate([
+        _flip_readout(plus_vec, np.multiply.outer(np.cos(ph), u) + np.multiply.outer(np.sin(ph), w))
+        for ph in np.split(phases.ravel(), range(block, phases.size, block))
+    ]).reshape(phases.shape)
     return float(values) if values.ndim == 0 else values

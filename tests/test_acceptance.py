@@ -25,6 +25,7 @@ from qfringe import (
     expectation,
     fermionic_fringe,
     fermionic_mode_ops,
+    evolved_quadratures,
     hamiltonian,
     integrate_quadratures,
     minus_state,
@@ -223,7 +224,8 @@ def test_criterion_4_hamilton_equation_consistency():
     start = quadratures(small)
     exact_x = math.cos(theta) * start.x + math.sin(theta) * start.p_x
     result = integrate_quadratures(small, t_final, 10_000)
-    integrator_dev = float(np.max(np.abs(result.operators_at_t[-1].x - exact_x)))
+    final = evolved_quadratures(small, result.coefficients[-1])
+    integrator_dev = float(np.max(np.abs(final.x - exact_x)))
     subchecks.append(
         (
             "leapfrog vs closed-form rotation at 1e4 steps",
@@ -234,7 +236,8 @@ def test_criterion_4_hamilton_equation_consistency():
 
     def integrator_error(n_steps):
         res = integrate_quadratures(small, t_final, n_steps, record_stride=n_steps)
-        return float(np.max(np.abs(res.operators_at_t[-1].x - exact_x)))
+        final = evolved_quadratures(small, res.coefficients[-1])
+        return float(np.max(np.abs(final.x - exact_x)))
 
     ratio = integrator_error(100) / integrator_error(200)
     subchecks.append(

@@ -435,6 +435,20 @@ def test_qubit_cutoff_capped_by_memory_budget(tmp_path, capsys):
     assert not (tmp_path / "qubit.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"experiment": "verify"\xff}', b"[" * 200_000],
+    ids=["not_utf8", "nested_too_deeply"],
+)
+def test_cli_unreadable_config_text_is_a_config_error(tmp_path, monkeypatch, capsys, content):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run_config.json").write_bytes(content)
+    assert main(["--config", "run_config.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["run_config.json"]
+
+
 def test_cli_exit_code_missing_config(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "absent.json")]) == 3
     assert "i/o error" in capsys.readouterr().err

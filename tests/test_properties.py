@@ -20,6 +20,7 @@ from qfringe import (
     SlitGeometry,
     coherent_state,
     commutator,
+    evolved_quadratures,
     fermionic_fringe,
     fock_state,
     fringe_scan,
@@ -200,7 +201,8 @@ def test_leapfrog_preserves_canonical_commutators(omega, t_final, n_steps, cutof
     params = QubitModelParams(omega=omega, cutoff=cutoff)
     start = quadratures(params)
     result = integrate_quadratures(params, t_final, n_steps, record_stride=stride)
-    for snap in result.operators_at_t:
+    for record in result.coefficients:
+        snap = evolved_quadratures(params, record)
         for q, p, q0, p0 in ((snap.x, snap.p_x, start.x, start.p_x), (snap.y, snap.p_y, start.y, start.p_y)):
             assert np.max(np.abs(commutator(q, p) - commutator(q0, p0))) <= 1e-12
 
@@ -213,7 +215,8 @@ def test_leapfrog_matches_operator_loop(omega, t_final, n_steps, cutoff, stride)
     times, snapshots = operator_leapfrog(params, t_final, n_steps, stride or max(1, n_steps // 100))
     assert np.array_equal(result.times, times)
     plus = plus_state(params).data
-    for snap, (x, p_x, y, p_y) in zip(result.operators_at_t, snapshots, strict=True):
+    for record, (x, p_x, y, p_y) in zip(result.coefficients, snapshots, strict=True):
+        snap = evolved_quadratures(params, record)
         for got, want in ((snap.x, x), (snap.p_x, p_x), (snap.y, y), (snap.p_y, p_y)):
             assert np.max(np.abs(got - want)) <= 1e-12
     flips = [0.5 * (1.0 - np.vdot(plus, (x @ y + p_x @ p_y) @ plus).real) for x, p_x, y, p_y in snapshots]

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfringe import qubit
 from qfringe import (
@@ -13,6 +17,7 @@ from qfringe import (
     commutator,
     creation_op,
     dagger,
+    evolved_quadratures,
     hamiltonian,
     heisenberg_rhs,
     integrate_quadratures,
@@ -213,7 +218,7 @@ def test_integrator_zero_time_is_identity():
     params = QubitModelParams(omega=1.0, cutoff=3)
     start = quadratures(params)
     result = integrate_quadratures(params, 0.0, 5)
-    final = result.operators_at_t[-1]
+    final = evolved_quadratures(params, result.coefficients[-1])
     for name in ("x", "p_x", "y", "p_y"):
         assert np.array_equal(getattr(final, name), getattr(start, name))
     assert result.probabilities[0] == pytest.approx(0.0, abs=1e-12)
@@ -229,7 +234,7 @@ def test_integrator_matches_closed_form_rotation():
     exact_x = math.cos(theta) * start.x + math.sin(theta) * start.p_x
     exact_px = -math.sin(theta) * start.x + math.cos(theta) * start.p_x
     exact_y = math.cos(theta) * start.y - math.sin(theta) * start.p_y
-    final = result.operators_at_t[-1]
+    final = evolved_quadratures(params, result.coefficients[-1])
     assert np.max(np.abs(final.x - exact_x)) < 1e-6
     assert np.max(np.abs(final.p_x - exact_px)) < 1e-6
     assert np.max(np.abs(final.y - exact_y)) < 1e-6
@@ -245,7 +250,8 @@ def test_integrator_second_order_convergence():
 
     def error(n_steps):
         res = integrate_quadratures(params, t_final, n_steps, record_stride=n_steps)
-        return float(np.max(np.abs(res.operators_at_t[-1].x - exact_x)))
+        final = evolved_quadratures(params, res.coefficients[-1])
+        return float(np.max(np.abs(final.x - exact_x)))
 
     ratio = error(100) / error(200)
     assert 3.7 < ratio < 4.3
@@ -256,7 +262,7 @@ def test_integrator_preserves_canonical_commutator():
     start = quadratures(params)
     reference = commutator(start.x, start.p_x)
     result = integrate_quadratures(params, 2.0, 500)
-    final = result.operators_at_t[-1]
+    final = evolved_quadratures(params, result.coefficients[-1])
     assert np.max(np.abs(commutator(final.x, final.p_x) - reference)) < 1e-10
 
 
@@ -276,13 +282,31 @@ def test_integrator_validation():
         integrate_quadratures(params, -1.0, 10)
     with pytest.raises(ValueError):
         integrate_quadratures(params, 1.0, 10, record_stride=0)
+    # |omega| h = 4: the leapfrog would grow without bound.
+    with pytest.raises(ValueError, match="stability"):
+        integrate_quadratures(params, 40.0, 10)
+
+
+def test_integrator_accepts_leapfrog_estimate_above_one():
+    # |omega| h / 2 = 0.031: the second-order estimate peaks at 1 + 1.1e-8.
+    result = integrate_quadratures(QubitModelParams(omega=1.0, cutoff=8), 2.0 * math.pi, 100)
+    assert result.probabilities.max() > 1.0
+    assert np.max(np.abs(result.probabilities - np.sin(result.times / 2.0) ** 2)) < 1e-3
+
+
+@pytest.mark.parametrize("t_final", [math.nan, math.inf, 1e308])
+def test_integrator_rejects_non_finite_trajectory(t_final):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            integrate_quadratures(QubitModelParams(omega=1.0, cutoff=3), t_final, 10)
 
 
 def test_integrator_record_stride():
     params = QubitModelParams(omega=1.0, cutoff=2)
     result = integrate_quadratures(params, 1.0, 100, record_stride=25)
     assert np.allclose(result.times, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert len(result.operators_at_t) == 5
+    assert result.coefficients.shape == (5, 2, 4)
 
 
 def test_pauli_evolved_special_times():
@@ -376,6 +400,33 @@ def test_transition_probability_array_equals_scalar_calls():
         grid = times[:36].reshape(4, 9)
         assert np.array_equal(transition_probability(params, grid), curve[:36].reshape(4, 9))
         assert isinstance(transition_probability(params, times[5]), float)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(-20.0, 20.0), st.lists(st.floats(0.0, 1e4), max_size=12), st.integers(2, 8))
+def test_transition_probability_equals_per_point_reference(omega, times, cutoff):
+    params = QubitModelParams(omega=omega, cutoff=cutoff)
+    times = np.array([0.0, *times])
+    reference = np.array([per_point_flip(params, t) for t in times])
+    assert np.array_equal(transition_probability(params, times), reference)
+    assert transition_probability(params, times[-1]) == reference[-1]
+    grid = np.stack([times, times[::-1]])
+    assert np.array_equal(transition_probability(params, grid), np.stack([reference, reference[::-1]]))
+
+
+def test_transition_probability_works_in_bounded_blocks_of_times():
+    # Sigma_X(t)|+> for all 40k times at once would take 164 MB at cutoff 16.
+    params = QubitModelParams(omega=1.3, cutoff=16)
+    times = np.linspace(0.0, 50.0, 40_000)
+    tracemalloc.start()
+    try:
+        curve = transition_probability(params, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    parts = [transition_probability(params, times[i : i + 9_999]) for i in range(0, times.size, 9_999)]
+    assert np.array_equal(curve, np.concatenate(parts))
 
 
 def test_transition_probability_builds_basis_once_per_call(monkeypatch):
