@@ -1,4 +1,12 @@
-"""Strict JSON run configuration: schema validation and defaults.
+"""Strict JSON run configuration: each section is type-checked, then built.
+
+Config builds the objects the run consumes: `geometry` becomes a
+`SlitGeometry`, `source_state` a `QuantumState` and `qubit` a
+`QubitModelParams`. Their constructors enforce their own ranges, and a
+`ValueError` from one becomes a `ConfigError` naming the field. Config adds
+only CLI policy: the size caps below, the finite-phase check, the 2-slit rule
+of compare and far-field mode, and the scan checks (`ScanSpec` and
+`OutputSpec` have no library counterpart).
 
 Unknown keys are rejected (with a nearest-key hint when one is a single
 edit away); every quantity is in SI units with no unit strings. Documented
@@ -14,9 +22,11 @@ import math
 from dataclasses import dataclass, replace
 
 from .diffraction import SlitGeometry, wavenumber
-from .fock import FockSpace, coherent_state
+from .fock import FockSpace, QuantumState, coherent_state, fock_state, thermal_state
+from .qubit import QubitModelParams
 
 EXPERIMENTS = ("fringe", "qubit", "verify", "compare")
+_SCREEN_EXPERIMENTS = ("fringe", "compare")
 
 _TOP_KEYS = ("experiment", "geometry", "source_state", "scan", "qubit", "output")
 _GEOMETRY_KEYS = ("source", "slits", "screen_z", "wavelength", "k")
@@ -26,15 +36,30 @@ _QUBIT_KEYS = ("omega", "cutoff")
 _OUTPUT_KEYS = ("path", "format")
 
 DEFAULT_SOURCE = (0.0, -1.0)
+DEFAULT_SOURCE_STATE = {"fock": 1}
 DEFAULT_SOURCE_CUTOFF = 16
 DEFAULT_QUBIT_OMEGA = 1.0
 DEFAULT_QUBIT_CUTOFF = 8
 DEFAULT_FORMAT = "csv"
 
-# A qubit run keeps about five dense complex dim x dim operators, dim = cutoff**2,
-# alive at once; qubit.cutoff is capped so that they fit in this budget (60 at 1 GiB).
-QUBIT_MEMORY_BUDGET_BYTES = 2**30
-MAX_QUBIT_CUTOFF = math.isqrt(math.isqrt(QUBIT_MEMORY_BUDGET_BYTES // (5 * 16)))
+# Every size is capped so that its largest allocation fits in one budget, checked
+# before any array is built:
+# - qubit.cutoff: about five dense complex dim x dim operators, dim = cutoff**2 (60);
+# - source_state.cutoff: the dense thermal rho and its validation copies, about five
+#   complex cutoff x cutoff arrays (3663);
+# - scan.n_points: the output text and its cells, plus the (points, slits) kernel
+#   arrays. tracemalloc measures 490-793 bytes a point at 2-16 slits and 48 more per
+#   slit, so a point is charged 1024 bytes and 64 more per slit.
+MEMORY_BUDGET_BYTES = 2**30
+MAX_QUBIT_CUTOFF = math.isqrt(math.isqrt(MEMORY_BUDGET_BYTES // (5 * 16)))
+MAX_SOURCE_CUTOFF = math.isqrt(MEMORY_BUDGET_BYTES // (5 * 16))
+SCAN_BYTES_PER_POINT = 1024
+SCAN_BYTES_PER_SLIT_POINT = 64
+
+
+def max_scan_points(slit_count: int) -> int:
+    """The largest scan.n_points within the memory budget (slit_count 0 for qubit)."""
+    return MEMORY_BUDGET_BYTES // (SCAN_BYTES_PER_POINT + SCAN_BYTES_PER_SLIT_POINT * slit_count)
 
 
 class ConfigError(ValueError):
@@ -44,24 +69,11 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class SourceStateSpec:
-    kind: str  # "fock" | "coherent" | "thermal"
-    value: int | float | complex
-    cutoff: int
-
-
-@dataclass(frozen=True)
 class ScanSpec:
     n_points: int
     x_min: float | None = None
     x_max: float | None = None
     t_max: float | None = None
-
-
-@dataclass(frozen=True)
-class QubitSpec:
-    omega: float
-    cutoff: int
 
 
 @dataclass(frozen=True)
@@ -74,9 +86,9 @@ class OutputSpec:
 class RunConfig:
     experiment: str
     geometry: SlitGeometry | None
-    source_state: SourceStateSpec
+    source_state: QuantumState
     scan: ScanSpec | None
-    qubit: QubitSpec
+    qubit: QubitModelParams
     output: OutputSpec
     far_field: bool = False
 
@@ -111,13 +123,13 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], context: str) -> None:
             raise ConfigError(message, field=loc)
 
 
-def _require_mapping(value, field: str) -> dict:
+def _read_mapping(value, field: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{field} must be an object", field=field)
     return value
 
 
-def _require_number(value, field: str) -> float:
+def _read_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field} must be a number", field=field)
     try:
@@ -129,173 +141,151 @@ def _require_number(value, field: str) -> float:
     return number
 
 
-def _require_int(value, field: str) -> int:
+def _read_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{field} must be an integer", field=field)
     return value
 
 
-def _parse_geometry(raw: dict) -> SlitGeometry:
-    _check_keys(raw, _GEOMETRY_KEYS, "geometry")
-    if "slits" not in raw:
-        raise ConfigError("geometry.slits is required", field="geometry.slits")
-    if "screen_z" not in raw:
-        raise ConfigError("geometry.screen_z is required", field="geometry.screen_z")
-    slits_raw = raw["slits"]
-    if not isinstance(slits_raw, list) or not slits_raw:
-        raise ConfigError(
-            "geometry.slits must be a non-empty list of x positions",
-            field="geometry.slits",
-        )
-    slits = tuple(
-        _require_number(x, f"geometry.slits[{i}]") for i, x in enumerate(slits_raw)
-    )
-    source_raw = raw.get("source", list(DEFAULT_SOURCE))
-    if not isinstance(source_raw, list) or len(source_raw) != 2:
-        raise ConfigError(
-            "geometry.source must be an [x, z] pair", field="geometry.source"
-        )
-    source = (
-        _require_number(source_raw[0], "geometry.source[0]"),
-        _require_number(source_raw[1], "geometry.source[1]"),
-    )
-    screen_z = _require_number(raw["screen_z"], "geometry.screen_z")
-    if "wavelength" in raw and "k" in raw:
-        raise ConfigError(
-            "geometry takes either wavelength or k, not both", field="geometry"
-        )
-    if "wavelength" in raw:
-        wavelength = _require_number(raw["wavelength"], "geometry.wavelength")
-        if wavelength <= 0.0:
-            raise ConfigError(
-                "geometry.wavelength must be positive", field="geometry.wavelength"
-            )
-        k = wavenumber(wavelength)
-    elif "k" in raw:
-        k = _require_number(raw["k"], "geometry.k")
-    else:
-        raise ConfigError(
-            "geometry requires wavelength or k", field="geometry.wavelength"
-        )
+def _numbers(count: int | None, shape: str):
+    """Reader of a non-empty JSON list of numbers, exactly `count` long unless `count` is None."""
+
+    def read(value, field: str) -> tuple[float, ...]:
+        if not isinstance(value, list) or not value or count not in (None, len(value)):
+            raise ConfigError(f"{field} must be {shape}", field=field)
+        return tuple(_read_number(x, f"{field}[{i}]") for i, x in enumerate(value))
+
+    return read
+
+
+def _read_amplitude(value, field: str) -> complex:
+    if isinstance(value, list):
+        return complex(*_numbers(2, "a number or [re, im] pair")(value, field))
+    return complex(_read_number(value, field))
+
+
+def _read_path(value, field: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{field} must be a non-empty string", field=field)
+    return value
+
+
+def _read_choice(choices: tuple[str, ...]):
+    def read(value, field: str) -> str:
+        if value not in choices:
+            raise ConfigError(f"{field} must be one of {', '.join(choices)}, got {value!r}", field=field)
+        return value
+
+    return read
+
+
+_REQUIRED = object()
+
+
+def _field(section: dict, ctx: str, key: str, read, default=_REQUIRED):
+    """`read(section[key], name)`; an absent key gives `default`, or fails when required."""
+    name = f"{ctx}.{key}" if ctx else key
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigError(f"{name} is required", field=name)
+        return default
+    return read(section[key], name)
+
+
+def _section(raw: dict, name: str, keys: tuple[str, ...], required: bool) -> dict | None:
+    """The object under `name` with its keys checked; None when it is absent and optional."""
+    section = _field(raw, "", name, _read_mapping, _REQUIRED if required else None)
+    if section is not None:
+        _check_keys(section, keys, name)
+    return section
+
+
+def _build(field: str, build, *args):
+    """Call a library constructor; its ValueError becomes a ConfigError naming `field`."""
     try:
-        return SlitGeometry(source=source, slits=slits, screen_z=screen_z, k=k)
+        return build(*args)
     except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}", field="geometry") from exc
+        raise ConfigError(f"{field}: {exc}", field=field) from None
 
 
-def _parse_source_state(raw: dict | None) -> SourceStateSpec:
-    if raw is None:
-        return SourceStateSpec(kind="fock", value=1, cutoff=DEFAULT_SOURCE_CUTOFF)
-    _check_keys(raw, _SOURCE_STATE_KEYS, "source_state")
-    kinds = [key for key in ("fock", "coherent", "thermal") if key in raw]
+def _parse_geometry(raw: dict) -> SlitGeometry:
+    slits = _field(raw, "geometry", "slits", _numbers(None, "a non-empty list of x positions"))
+    screen_z = _field(raw, "geometry", "screen_z", _read_number)
+    source = _field(raw, "geometry", "source", _numbers(2, "an [x, z] pair"), DEFAULT_SOURCE)
+    if "k" in raw:
+        if "wavelength" in raw:
+            raise ConfigError("geometry takes either wavelength or k, not both", field="geometry")
+        k = _field(raw, "geometry", "k", _read_number)
+    else:
+        wavelength = _field(raw, "geometry", "wavelength", _read_number)
+        k = _build("geometry.wavelength", wavenumber, wavelength)
+    return _build("geometry", SlitGeometry, source, slits, screen_z, k)
+
+
+# source_state kind -> (reader of its JSON value, library builder of the state)
+_SOURCE_KINDS = {
+    "fock": (_read_int, fock_state),
+    "coherent": (_read_amplitude, coherent_state),
+    "thermal": (_read_number, thermal_state),
+}
+
+
+def _parse_source_state(raw: dict) -> QuantumState:
+    kinds = [kind for kind in _SOURCE_KINDS if kind in raw]
     if len(kinds) != 1:
         raise ConfigError(
-            "source_state must set exactly one of fock, coherent, thermal",
-            field="source_state",
+            "source_state must set exactly one of fock, coherent, thermal", field="source_state"
         )
-    kind = kinds[0]
-    cutoff = _require_int(raw.get("cutoff", DEFAULT_SOURCE_CUTOFF), "source_state.cutoff")
-    if cutoff < 2:
+    cutoff = _field(raw, "source_state", "cutoff", _read_int, DEFAULT_SOURCE_CUTOFF)
+    if cutoff > MAX_SOURCE_CUTOFF:
         raise ConfigError(
-            "source_state.cutoff must be at least 2", field="source_state.cutoff"
+            f"source_state.cutoff must be at most {MAX_SOURCE_CUTOFF}", field="source_state.cutoff"
         )
-    if kind == "fock":
-        n = _require_int(raw["fock"], "source_state.fock")
-        if not 0 <= n < cutoff:
-            raise ConfigError(
-                f"source_state.fock must lie in [0, {cutoff - 1}]",
-                field="source_state.fock",
-            )
-        return SourceStateSpec(kind="fock", value=n, cutoff=cutoff)
-    if kind == "coherent":
-        alpha_raw = raw["coherent"]
-        if isinstance(alpha_raw, list):
-            if len(alpha_raw) != 2:
-                raise ConfigError(
-                    "source_state.coherent must be a number or [re, im] pair",
-                    field="source_state.coherent",
-                )
-            alpha = complex(
-                _require_number(alpha_raw[0], "source_state.coherent[0]"),
-                _require_number(alpha_raw[1], "source_state.coherent[1]"),
-            )
-        else:
-            alpha = complex(_require_number(alpha_raw, "source_state.coherent"))
-        try:
-            coherent_state(FockSpace(cutoff), alpha)
-        except ValueError as exc:
-            raise ConfigError(f"source_state.coherent: {exc}", "source_state.coherent") from None
-        return SourceStateSpec(kind="coherent", value=alpha, cutoff=cutoff)
-    nbar = _require_number(raw["thermal"], "source_state.thermal")
-    if nbar < 0.0:
-        raise ConfigError(
-            "source_state.thermal must be nonnegative", field="source_state.thermal"
-        )
-    return SourceStateSpec(kind="thermal", value=nbar, cutoff=cutoff)
+    space = _build("source_state.cutoff", FockSpace, cutoff)
+    read, build = _SOURCE_KINDS[kinds[0]]
+    return _build(f"source_state.{kinds[0]}", build, space, _field(raw, "source_state", kinds[0], read))
 
 
-def _parse_scan(raw: dict, experiment: str) -> ScanSpec:
-    _check_keys(raw, _SCAN_KEYS, "scan")
-    if "n_points" not in raw:
-        raise ConfigError("scan.n_points is required", field="scan.n_points")
-    n_points = _require_int(raw["n_points"], "scan.n_points")
-    if n_points < 2:
-        raise ConfigError("scan.n_points must be at least 2", field="scan.n_points")
-    if experiment in ("fringe", "compare"):
-        for key in ("x_min", "x_max"):
-            if key not in raw:
-                raise ConfigError(f"scan.{key} is required", field=f"scan.{key}")
+def _parse_scan(raw: dict, experiment: str, slit_count: int) -> ScanSpec:
+    n_points = _field(raw, "scan", "n_points", _read_int)
+    max_points = max_scan_points(slit_count)
+    if not 2 <= n_points <= max_points:
+        raise ConfigError(f"scan.n_points must lie in [2, {max_points}]", field="scan.n_points")
+    if experiment in _SCREEN_EXPERIMENTS:
         if "t_max" in raw:
             raise ConfigError(
-                f"scan.t_max does not apply to the {experiment} experiment",
-                field="scan.t_max",
+                f"scan.t_max does not apply to the {experiment} experiment", field="scan.t_max"
             )
-        x_min = _require_number(raw["x_min"], "scan.x_min")
-        x_max = _require_number(raw["x_max"], "scan.x_max")
+        x_min = _field(raw, "scan", "x_min", _read_number)
+        x_max = _field(raw, "scan", "x_max", _read_number)
         if not x_max > x_min:
             raise ConfigError("scan.x_max must exceed scan.x_min", field="scan.x_max")
         return ScanSpec(n_points=n_points, x_min=x_min, x_max=x_max)
     if "x_min" in raw or "x_max" in raw:
-        raise ConfigError(
-            "scan.x_min/x_max do not apply to the qubit experiment", field="scan.x_min"
-        )
-    if "t_max" not in raw:
-        raise ConfigError("scan.t_max is required", field="scan.t_max")
-    t_max = _require_number(raw["t_max"], "scan.t_max")
+        raise ConfigError("scan.x_min/x_max do not apply to the qubit experiment", field="scan.x_min")
+    t_max = _field(raw, "scan", "t_max", _read_number)
     if t_max <= 0.0:
         raise ConfigError("scan.t_max must be positive", field="scan.t_max")
     return ScanSpec(n_points=n_points, t_max=t_max)
 
 
-def _parse_qubit(raw: dict | None) -> QubitSpec:
-    if raw is None:
-        return QubitSpec(omega=DEFAULT_QUBIT_OMEGA, cutoff=DEFAULT_QUBIT_CUTOFF)
-    _check_keys(raw, _QUBIT_KEYS, "qubit")
-    omega = _require_number(raw.get("omega", DEFAULT_QUBIT_OMEGA), "qubit.omega")
-    cutoff = _require_int(raw.get("cutoff", DEFAULT_QUBIT_CUTOFF), "qubit.cutoff")
+def _parse_qubit(raw: dict) -> QubitModelParams:
+    omega = _field(raw, "qubit", "omega", _read_number, DEFAULT_QUBIT_OMEGA)
+    cutoff = _field(raw, "qubit", "cutoff", _read_int, DEFAULT_QUBIT_CUTOFF)
     if not 2 <= cutoff <= MAX_QUBIT_CUTOFF:
         raise ConfigError(f"qubit.cutoff must lie in [2, {MAX_QUBIT_CUTOFF}]", field="qubit.cutoff")
-    return QubitSpec(omega=omega, cutoff=cutoff)
+    return QubitModelParams(omega=omega, cutoff=cutoff)
 
 
-def _parse_output(raw: dict | None, experiment: str) -> OutputSpec:
-    if raw is None:
-        raw = {}
-    _check_keys(raw, _OUTPUT_KEYS, "output")
+def _parse_output(raw: dict, experiment: str) -> OutputSpec:
     default_format = "json" if experiment == "verify" else DEFAULT_FORMAT
-    fmt = raw.get("format", default_format)
-    if fmt not in ("csv", "json"):
-        raise ConfigError(
-            f"output.format must be 'csv' or 'json', got {fmt!r}", field="output.format"
-        )
-    path = raw.get("path", f"{experiment}.{fmt}")
-    if not isinstance(path, str) or not path:
-        raise ConfigError("output.path must be a non-empty string", field="output.path")
+    fmt = _field(raw, "output", "format", _read_choice(("csv", "json")), default_format)
+    path = _field(raw, "output", "path", _read_path, f"{experiment}.{fmt}")
     return OutputSpec(path=path, format=fmt)
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
+    """Parse a JSON run configuration and build the objects the run uses."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -304,57 +294,31 @@ def parse_config(text: str) -> RunConfig:
         ) from exc
     except RecursionError as exc:
         raise ConfigError("config parse error: nested too deeply") from exc
-    raw = _require_mapping(raw, "config")
+    raw = _read_mapping(raw, "config")
     _check_keys(raw, _TOP_KEYS, "")
-    if "experiment" not in raw:
-        raise ConfigError("experiment is required", field="experiment")
-    experiment = raw["experiment"]
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"experiment must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}",
-            field="experiment",
-        )
+    experiment = _field(raw, "", "experiment", _read_choice(EXPERIMENTS))
+    screen = experiment in _SCREEN_EXPERIMENTS
 
-    geometry = None
-    if experiment in ("fringe", "compare"):
-        if "geometry" not in raw:
-            raise ConfigError("geometry is required", field="geometry")
-        geometry = _parse_geometry(_require_mapping(raw["geometry"], "geometry"))
-        if experiment == "compare" and geometry.slit_count != 2:
-            raise ConfigError(
-                "compare requires exactly 2 slits", field="geometry.slits"
-            )
-    elif "geometry" in raw:
-        geometry = _parse_geometry(_require_mapping(raw["geometry"], "geometry"))
-
+    geometry = _section(raw, "geometry", _GEOMETRY_KEYS, required=screen)
+    geometry = None if geometry is None else _parse_geometry(geometry)
+    if experiment == "compare" and geometry.slit_count != 2:
+        raise ConfigError("compare requires exactly 2 slits", field="geometry.slits")
     scan = None
-    if experiment in ("fringe", "compare", "qubit"):
-        if "scan" not in raw:
-            raise ConfigError("scan is required", field="scan")
-        scan = _parse_scan(_require_mapping(raw["scan"], "scan"), experiment)
-
-    source_state = _parse_source_state(
-        _require_mapping(raw["source_state"], "source_state")
-        if "source_state" in raw
-        else None
-    )
-    qubit_spec = _parse_qubit(
-        _require_mapping(raw["qubit"], "qubit") if "qubit" in raw else None
-    )
-    if experiment == "qubit" and not math.isfinite(qubit_spec.omega * scan.t_max):
-        raise ConfigError(
-            "qubit.omega * scan.t_max must be a finite phase", field="scan.t_max"
-        )
-    output = _parse_output(
-        _require_mapping(raw["output"], "output") if "output" in raw else None,
-        experiment,
-    )
+    if experiment != "verify":
+        scan_slits = geometry.slit_count if screen else 0
+        scan = _parse_scan(_section(raw, "scan", _SCAN_KEYS, required=True), experiment, scan_slits)
+    source_state = _section(raw, "source_state", _SOURCE_STATE_KEYS, required=False)
+    source_state = _parse_source_state(DEFAULT_SOURCE_STATE if source_state is None else source_state)
+    qubit = _parse_qubit(_section(raw, "qubit", _QUBIT_KEYS, required=False) or {})
+    if experiment == "qubit" and not math.isfinite(qubit.omega * scan.t_max):
+        raise ConfigError("qubit.omega * scan.t_max must be a finite phase", field="scan.t_max")
+    output = _parse_output(_section(raw, "output", _OUTPUT_KEYS, required=False) or {}, experiment)
     return RunConfig(
         experiment=experiment,
         geometry=geometry,
         source_state=source_state,
         scan=scan,
-        qubit=qubit_spec,
+        qubit=qubit,
         output=output,
     )
 

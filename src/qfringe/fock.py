@@ -14,6 +14,7 @@ on the cutoff level.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,10 +32,14 @@ class FockSpace:
     mode_count: int = 1
 
     def __post_init__(self):
-        if self.cutoff < 2:
-            raise ValueError(f"cutoff must be at least 2, got {self.cutoff}")
-        if self.mode_count < 1:
-            raise ValueError(f"mode_count must be at least 1, got {self.mode_count}")
+        for name, least in (("cutoff", 2), ("mode_count", 1)):
+            value = getattr(self, name)
+            try:
+                operator.index(value)  # an int or numpy integer, not a float
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
     @property
     def dim(self) -> int:

@@ -10,20 +10,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .config import RunConfig, SourceStateSpec
+from .config import RunConfig
 from .diffraction import DegenerateGeometryError, fringe_scan, single_photon_fringe
-from .fock import FockSpace, QuantumState, coherent_state, fock_state, thermal_state
-from .qubit import QubitModelParams, transition_probability
+from .qubit import transition_probability
 from .tableio import csv_text, json_document
-
-
-def build_source_state(spec: SourceStateSpec) -> QuantumState:
-    space = FockSpace(spec.cutoff)
-    if spec.kind == "fock":
-        return fock_state(space, int(spec.value))
-    if spec.kind == "coherent":
-        return coherent_state(space, complex(spec.value))
-    return thermal_state(space, float(spec.value))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -58,16 +48,15 @@ def _fringe_table(config: RunConfig) -> _Table:
         scan.x_max,
         scan.n_points,
         mode=mode,
-        state=build_source_state(config.source_state),
+        state=config.source_state,
     )
     columns = dict(x_D=table.x, probability=table.probability, raw_intensity=table.raw_intensity)
     return _Table(_require_finite(columns))
 
 
 def _qubit_table(config: RunConfig) -> _Table:
-    params = QubitModelParams(omega=config.qubit.omega, cutoff=config.qubit.cutoff)
     times = np.linspace(0.0, config.scan.t_max, config.scan.n_points)
-    probabilities = transition_probability(params, times)
+    probabilities = transition_probability(config.qubit, times)
     return _Table(_require_finite(dict(t=times, probability=probabilities)))
 
 

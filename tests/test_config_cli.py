@@ -12,8 +12,9 @@ import pytest
 import qfringe
 from qfringe import ConfigError, parse_config
 from qfringe.cli import main
-from qfringe.config import MAX_QUBIT_CUTOFF, QUBIT_MEMORY_BUDGET_BYTES, apply_overrides, load_config
-from qfringe.runner import build_source_state, run
+from qfringe.config import MAX_QUBIT_CUTOFF, MEMORY_BUDGET_BYTES, apply_overrides, load_config
+from qfringe.fock import FockSpace, coherent_state, fock_state, thermal_state
+from qfringe.runner import run
 
 SRC_DIR = str(Path(qfringe.__file__).resolve().parents[1])
 
@@ -36,9 +37,7 @@ def test_minimal_fringe_config_round_trip():
     assert config.geometry.slit_count == 2
     assert config.geometry.k == pytest.approx(2.0 * math.pi / 500e-9)
     assert config.geometry.source == (0.0, -1.0)
-    assert config.source_state.kind == "fock"
-    assert config.source_state.value == 1
-    assert config.source_state.cutoff == 16
+    assert np.array_equal(config.source_state.data, fock_state(FockSpace(16), 1).data)
     assert config.qubit.omega == 1.0
     assert config.qubit.cutoff == 8
     assert config.output.format == "csv"
@@ -120,17 +119,16 @@ def test_verify_config_needs_nothing():
 
 def test_source_state_variants():
     payload = dict(MINIMAL_FRINGE, source_state={"coherent": [0.5, 0.25], "cutoff": 20})
-    config = parse_config(json.dumps(payload))
-    assert config.source_state.kind == "coherent"
-    assert config.source_state.value == 0.5 + 0.25j
-    state = build_source_state(config.source_state)
+    state = parse_config(json.dumps(payload)).source_state
+    expected = coherent_state(FockSpace(20), 0.5 + 0.25j)
     assert state.kind == "pure"
     assert state.dim == 20
+    assert np.array_equal(state.data, expected.data) and state.lost_weight == expected.lost_weight
 
     payload = dict(MINIMAL_FRINGE, source_state={"thermal": 0.4})
-    config = parse_config(json.dumps(payload))
-    state = build_source_state(config.source_state)
+    state = parse_config(json.dumps(payload)).source_state
     assert state.kind == "mixed"
+    assert np.array_equal(state.data, thermal_state(FockSpace(16), 0.4).data)
 
     with pytest.raises(ConfigError):
         parse_config(json.dumps(dict(MINIMAL_FRINGE, source_state={"fock": 1, "thermal": 0.1})))
@@ -417,7 +415,7 @@ def test_cli_verify_json_writes_null_for_non_finite_deviation(tmp_path, monkeypa
 
 def test_qubit_cutoff_capped_by_memory_budget(tmp_path, capsys):
     # About five dense operators of 16 * cutoff**4 bytes each must fit in the budget.
-    assert 5 * 16 * MAX_QUBIT_CUTOFF**4 <= QUBIT_MEMORY_BUDGET_BYTES < 5 * 16 * (MAX_QUBIT_CUTOFF + 1) ** 4
+    assert 5 * 16 * MAX_QUBIT_CUTOFF**4 <= MEMORY_BUDGET_BYTES < 5 * 16 * (MAX_QUBIT_CUTOFF + 1) ** 4
     payload = {"experiment": "qubit", "scan": {"t_max": 1.0, "n_points": 5}}
     for cutoff in (2, 8, 16, MAX_QUBIT_CUTOFF):
         config = parse_config(json.dumps(dict(payload, qubit={"cutoff": cutoff})))

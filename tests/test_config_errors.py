@@ -1,0 +1,214 @@
+"""Bad run configurations name the field at fault and exit 2; sizes are capped by memory."""
+
+import json
+import tracemalloc
+
+import pytest
+
+from qfringe import ConfigError, FockSpace, parse_config, run, thermal_state
+from qfringe.cli import main
+from qfringe.config import (
+    MAX_SOURCE_CUTOFF,
+    MEMORY_BUDGET_BYTES,
+    SCAN_BYTES_PER_POINT,
+    SCAN_BYTES_PER_SLIT_POINT,
+    max_scan_points,
+)
+
+GEOMETRY = {"slits": [-5e-6, 5e-6], "screen_z": 1.0, "wavelength": 500e-9}
+FRINGE = {
+    "experiment": "fringe",
+    "geometry": GEOMETRY,
+    "scan": {"x_min": -0.025, "x_max": 0.025, "n_points": 11},
+}
+QUBIT = {"experiment": "qubit", "scan": {"t_max": 6.0, "n_points": 11}}
+VERIFY = {"experiment": "verify"}
+
+
+def _with(base, section, **fields):
+    """`base` with `fields` set in `section` (a value of None deletes the key)."""
+    merged = dict(base.get(section, {}), **fields)
+    return dict(base, **{section: {k: v for k, v in merged.items() if v is not None}})
+
+
+def _rejected_field(payload):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(payload))
+    return excinfo.value.field
+
+
+def _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, payload):
+    """Run the CLI on `payload`: exit 2, one stderr line, nothing written; returns the line."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run_config.json").write_text(json.dumps(payload))
+    assert main(["--config", "run_config.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("config error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["run_config.json"]
+    return captured.err
+
+
+# (id, config, the field that ConfigError names)
+BAD_CONFIGS = [
+    # top level
+    ("not_an_object", [], "config"),
+    ("no_experiment", {}, "experiment"),
+    ("unknown_experiment", {"experiment": "interferometry"}, "experiment"),
+    ("unknown_top_key", dict(FRINGE, geometri={}), "geometri"),
+    # geometry
+    ("no_geometry", {k: v for k, v in FRINGE.items() if k != "geometry"}, "geometry"),
+    ("geometry_not_object", dict(FRINGE, geometry=[1.0]), "geometry"),
+    ("no_slits", _with(FRINGE, "geometry", slits=None), "geometry.slits"),
+    ("no_screen_z", _with(FRINGE, "geometry", screen_z=None), "geometry.screen_z"),
+    ("empty_slits", _with(FRINGE, "geometry", slits=[]), "geometry.slits"),
+    ("slit_not_number", _with(FRINGE, "geometry", slits=[0.0, "5e-6"]), "geometry.slits[1]"),
+    ("source_not_pair", _with(FRINGE, "geometry", source=[0.0]), "geometry.source"),
+    ("wavelength_negative", _with(FRINGE, "geometry", wavelength=-5e-7), "geometry.wavelength"),
+    ("wavelength_zero", _with(FRINGE, "geometry", wavelength=0), "geometry.wavelength"),
+    ("wavelength_string", _with(FRINGE, "geometry", wavelength="500nm"), "geometry.wavelength"),
+    ("wavelength_and_k", _with(FRINGE, "geometry", k=1.0), "geometry"),
+    ("no_wavelength_or_k", _with(FRINGE, "geometry", wavelength=None), "geometry.wavelength"),
+    ("k_negative", _with(FRINGE, "geometry", wavelength=None, k=-1.0), "geometry"),
+    ("source_above_slits", _with(FRINGE, "geometry", source=[0.0, 1.0]), "geometry"),
+    ("unknown_geometry_key", _with(FRINGE, "geometry", slitz=[0.0]), "geometry.slitz"),
+    ("compare_three_slits", _with(dict(FRINGE, experiment="compare"), "geometry", slits=[-1e-5, 0.0, 1e-5]), "geometry.slits"),
+    # scan
+    ("no_scan", {k: v for k, v in FRINGE.items() if k != "scan"}, "scan"),
+    ("scan_not_object", dict(FRINGE, scan=5), "scan"),
+    ("no_n_points", _with(FRINGE, "scan", n_points=None), "scan.n_points"),
+    ("n_points_float", _with(FRINGE, "scan", n_points=10.5), "scan.n_points"),
+    ("n_points_bool", _with(FRINGE, "scan", n_points=True), "scan.n_points"),
+    ("n_points_one", _with(FRINGE, "scan", n_points=1), "scan.n_points"),
+    ("no_x_max", _with(FRINGE, "scan", x_max=None), "scan.x_max"),
+    ("x_max_below_x_min", _with(FRINGE, "scan", x_max=-0.03), "scan.x_max"),
+    ("fringe_t_max", _with(FRINGE, "scan", t_max=1.0), "scan.t_max"),
+    ("qubit_no_t_max", _with(QUBIT, "scan", t_max=None), "scan.t_max"),
+    ("qubit_t_max_negative", _with(QUBIT, "scan", t_max=-1.0), "scan.t_max"),
+    ("qubit_x_min", _with(QUBIT, "scan", x_min=0.0), "scan.x_min"),
+    ("qubit_phase_overflow", _with(_with(QUBIT, "scan", t_max=1e10), "qubit", omega=1e300), "scan.t_max"),
+    # source_state
+    ("source_state_not_object", dict(FRINGE, source_state=1), "source_state"),
+    ("source_state_two_kinds", dict(FRINGE, source_state={"fock": 1, "thermal": 0.1}), "source_state"),
+    ("source_state_no_kind", dict(FRINGE, source_state={"cutoff": 8}), "source_state"),
+    ("fock_beyond_cutoff", dict(FRINGE, source_state={"fock": 99}), "source_state.fock"),
+    ("fock_at_cutoff", dict(FRINGE, source_state={"fock": 4, "cutoff": 4}), "source_state.fock"),
+    ("fock_negative", dict(FRINGE, source_state={"fock": -1}), "source_state.fock"),
+    ("fock_float", dict(FRINGE, source_state={"fock": 1.5}), "source_state.fock"),
+    ("cutoff_one", dict(FRINGE, source_state={"fock": 0, "cutoff": 1}), "source_state.cutoff"),
+    ("cutoff_float", dict(FRINGE, source_state={"fock": 0, "cutoff": 8.5}), "source_state.cutoff"),
+    ("cutoff_string", dict(FRINGE, source_state={"thermal": 0.5, "cutoff": "8"}), "source_state.cutoff"),
+    ("thermal_negative", dict(FRINGE, source_state={"thermal": -0.1}), "source_state.thermal"),
+    ("thermal_string", dict(FRINGE, source_state={"thermal": "hot"}), "source_state.thermal"),
+    ("coherent_triple", dict(FRINGE, source_state={"coherent": [1.0, 2.0, 3.0]}), "source_state.coherent"),
+    ("coherent_part_string", dict(FRINGE, source_state={"coherent": ["a", 0.0]}), "source_state.coherent[0]"),
+    ("coherent_underflow", dict(FRINGE, source_state={"coherent": 40.0}), "source_state.coherent"),
+    ("unknown_source_key", dict(FRINGE, source_state={"foc": 1}), "source_state.foc"),
+    # qubit
+    ("qubit_not_object", dict(QUBIT, qubit=[1.0]), "qubit"),
+    ("qubit_omega_string", _with(QUBIT, "qubit", omega="fast"), "qubit.omega"),
+    ("qubit_cutoff_one", _with(QUBIT, "qubit", cutoff=1), "qubit.cutoff"),
+    ("qubit_cutoff_float", _with(QUBIT, "qubit", cutoff=2.5), "qubit.cutoff"),
+    ("qubit_cutoff_beyond_cap", _with(QUBIT, "qubit", cutoff=61), "qubit.cutoff"),
+    ("unknown_qubit_key", _with(QUBIT, "qubit", omgea=1.0), "qubit.omgea"),
+    # output
+    ("output_not_object", dict(FRINGE, output="out.csv"), "output"),
+    ("output_format", dict(FRINGE, output={"format": "xml"}), "output.format"),
+    ("output_path_empty", dict(FRINGE, output={"path": ""}), "output.path"),
+    # verify reads no geometry or source state, but still validates them
+    ("verify_fock_beyond_cutoff", dict(VERIFY, source_state={"fock": 99}), "source_state.fock"),
+    ("verify_thermal_negative", dict(VERIFY, source_state={"thermal": -1.0}), "source_state.thermal"),
+    ("verify_cutoff_one", dict(VERIFY, source_state={"fock": 0, "cutoff": 1}), "source_state.cutoff"),
+    ("verify_no_slits", dict(VERIFY, geometry={"screen_z": 1.0, "wavelength": 5e-7}), "geometry.slits"),
+    ("verify_wavelength_negative", dict(VERIFY, geometry=dict(GEOMETRY, wavelength=-1.0)), "geometry.wavelength"),
+]
+
+
+@pytest.mark.parametrize(
+    "payload, field", [case[1:] for case in BAD_CONFIGS], ids=[case[0] for case in BAD_CONFIGS]
+)
+def test_bad_config_names_its_field_and_exits_2(tmp_path, monkeypatch, capsys, payload, field):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(payload))
+    assert excinfo.value.field == field
+    assert "\n" not in str(excinfo.value)
+    _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, payload)
+
+
+def test_source_cutoff_capped_by_memory_budget(tmp_path, monkeypatch, capsys):
+    # Five dense complex cutoff x cutoff arrays (the thermal rho and its checks) fit the budget.
+    assert 5 * 16 * MAX_SOURCE_CUTOFF**2 <= MEMORY_BUDGET_BYTES < 5 * 16 * (MAX_SOURCE_CUTOFF + 1) ** 2
+    for base in (FRINGE, VERIFY):
+        for kind in ({"fock": 1}, {"thermal": 0.5}, {"coherent": 0.5}):
+            for cutoff in (MAX_SOURCE_CUTOFF + 1, 3 * 10**9):
+                payload = dict(base, source_state=dict(kind, cutoff=cutoff))
+                assert _rejected_field(payload) == "source_state.cutoff"
+    accepted = parse_config(json.dumps(dict(VERIFY, source_state={"fock": 1, "cutoff": MAX_SOURCE_CUTOFF})))
+    assert accepted.source_state.dim == MAX_SOURCE_CUTOFF
+    # At 3e9 levels the thermal rho alone would need 144 EB; nothing is built.
+    payload = dict(VERIFY, source_state={"thermal": 0.5, "cutoff": 3 * 10**9})
+    err = _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, payload)
+    assert f"source_state.cutoff must be at most {MAX_SOURCE_CUTOFF}" in err
+
+
+def test_thermal_state_memory_within_source_charge():
+    # tracemalloc peak of building the thermal state, per cutoff**2, at two sizes.
+    peaks = []
+    for cutoff in (100, 200):
+        tracemalloc.start()
+        thermal_state(FockSpace(cutoff), 0.7)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (200**2 - 100**2) <= 5 * 16
+
+
+@pytest.mark.parametrize("slits", [1, 2, 16, 64])
+def test_scan_points_capped_by_memory_budget(slits):
+    cap = max_scan_points(slits)
+    assert cap * (SCAN_BYTES_PER_POINT + SCAN_BYTES_PER_SLIT_POINT * slits) <= MEMORY_BUDGET_BYTES
+    geometry = dict(GEOMETRY, slits=[i * 1e-5 for i in range(slits)])
+    for n_points in (cap, cap + 1, 10**10):
+        payload = _with(dict(FRINGE, geometry=geometry), "scan", n_points=n_points)
+        if n_points == cap:
+            assert parse_config(json.dumps(payload)).scan.n_points == cap
+        else:
+            assert _rejected_field(payload) == "scan.n_points"
+
+
+def test_scan_caps_accept_benchmark_sizes():
+    # The largest benchmark scans: 50,001 points at 2 slits and 10,001 at 16.
+    assert max_scan_points(2) >= 50_001 and max_scan_points(16) >= 10_001
+    qubit_cap = max_scan_points(0)
+    assert parse_config(json.dumps(_with(QUBIT, "scan", n_points=qubit_cap))).scan.n_points == qubit_cap
+    assert _rejected_field(_with(QUBIT, "scan", n_points=qubit_cap + 1)) == "scan.n_points"
+
+
+@pytest.mark.parametrize("payload", [FRINGE, QUBIT], ids=["fringe", "qubit"])
+def test_cli_rejects_huge_scan(tmp_path, monkeypatch, capsys, payload):
+    err = _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, _with(payload, "scan", n_points=10**10))
+    assert "scan.n_points" in err
+
+
+@pytest.mark.parametrize(
+    "payload, slits",
+    [
+        (dict(FRINGE, output={"format": "json"}), 2),
+        (_with(FRINGE, "geometry", slits=[i * 1e-5 for i in range(16)]), 16),
+        (dict(FRINGE, experiment="compare", output={"format": "json"}), 2),
+        (dict(QUBIT, output={"format": "json"}), 0),
+    ],
+    ids=["fringe_json", "fringe_16_slits", "compare_json", "qubit_json"],
+)
+def test_run_memory_per_point_within_scan_charge(tmp_path, monkeypatch, payload, slits):
+    # tracemalloc peak of a whole run, per point, from two scan sizes; both exceed
+    # the qubit readout's block of times, whose memory is bounded.
+    monkeypatch.chdir(tmp_path)
+    peaks = []
+    for n_points in (10_000, 30_000):
+        config = parse_config(json.dumps(_with(payload, "scan", n_points=n_points)))
+        tracemalloc.start()
+        run(config)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    per_point = (peaks[1] - peaks[0]) / 20_000
+    assert per_point <= SCAN_BYTES_PER_POINT + SCAN_BYTES_PER_SLIT_POINT * slits

@@ -37,6 +37,19 @@ def test_space_validation():
     assert FockSpace(4, 3).dim == 64
 
 
+@pytest.mark.parametrize("cutoff, mode_count", [(2.5, 1), (4.0, 1), (4, 1.5), ("4", 1)])
+def test_space_rejects_non_integral_sizes(cutoff, mode_count):
+    # A float size would fail later, deep inside, with a TypeError.
+    with pytest.raises(ValueError, match="must be an integer"):
+        FockSpace(cutoff, mode_count)
+
+
+def test_space_accepts_numpy_integers():
+    space = FockSpace(np.int64(4), np.int32(2))
+    assert space.dim == 16
+    assert fock_state(space, (1, 3)).data[space.index((1, 3))] == 1.0
+
+
 def test_ladder_normalization_entries():
     a2 = annihilation_op(FockSpace(2))
     assert a2[0, 1] == 1.0

@@ -49,6 +49,10 @@ def test_params_validation():
         QubitModelParams(omega=float("nan"))
     with pytest.raises(ValueError):
         QubitModelParams(omega=1.0, cutoff=1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        QubitModelParams(omega=1.0, cutoff=2.5)
+    params = QubitModelParams(omega=1.0, cutoff=np.int64(3))
+    assert transition_probability(params, math.pi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sigma_z_number_difference():
@@ -285,6 +289,19 @@ def test_integrator_validation():
     # |omega| h = 4: the leapfrog would grow without bound.
     with pytest.raises(ValueError, match="stability"):
         integrate_quadratures(params, 40.0, 10)
+
+
+@pytest.mark.parametrize("t_final", [39.99, 10.01])
+def test_integrator_rejects_steps_beyond_accuracy_limit(t_final):
+    # |omega| h = 3.999 is still leapfrog-stable, but its flip "probability" read 93.6.
+    with pytest.raises(ValueError, match="stability"):
+        integrate_quadratures(QubitModelParams(omega=1.0, cutoff=3), t_final, 10)
+
+
+def test_integrator_estimate_stays_near_one_at_largest_step():
+    # |omega| h = 1, the largest accepted step, over 20,000 steps.
+    result = integrate_quadratures(QubitModelParams(omega=1.0, cutoff=3), 20_000.0, 20_000, record_stride=1)
+    assert 0.0 <= result.probabilities.min() and result.probabilities.max() < 1.00105
 
 
 def test_integrator_accepts_leapfrog_estimate_above_one():
