@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .config import ConfigError, apply_overrides, load_config
@@ -62,6 +63,11 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # Every import is done by now. Frozen objects move to the permanent
+    # generation, which no collection walks, so interpreter exit no longer
+    # walks the import-time heap (numpy's and ours). Objects the run creates
+    # are collected as usual; in-process callers of main() keep normal GC.
+    gc.freeze()
     sys.exit(main())
 
 

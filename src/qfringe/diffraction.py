@@ -63,9 +63,13 @@ class SlitGeometry:
                 slits.append((float(x), 0.0))
         if not slits:
             raise ValueError("geometry needs at least one slit")
-        coords = [*source, *(x for x, _ in slits), float(self.screen_z), float(self.k)]
-        if not all(math.isfinite(v) for v in coords):
+        coords = [*source, *(x for x, _ in slits), float(self.screen_z)]
+        if not all(math.isfinite(v) for v in [*coords, float(self.k)]):
             raise ValueError("source, slits, screen_z and k must be finite")
+        # The legs square each coordinate as a Python float, which raises
+        # OverflowError past about 1.34e154 m instead of giving inf.
+        if not all(math.isfinite(v * v) for v in coords):
+            raise ValueError("source, slits and screen_z must have a finite square")
         if len({x for x, _ in slits}) != len(slits):
             raise ValueError("slit points must be distinct")
         if not source[1] < 0.0:

@@ -158,7 +158,12 @@ class QuantumState:
             tr = np.trace(data)
             if abs(tr - 1.0) > HERMITIAN_TOL:
                 raise ValueError(f"density matrix trace must be 1, got {tr}")
-            if np.linalg.eigvalsh(data).min() < -1e-10:
+            diagonal = np.diagonal(data)
+            if np.count_nonzero(data) == np.count_nonzero(diagonal):
+                eigenvalues = diagonal.real  # a diagonal matrix's eigenvalues are its diagonal
+            else:
+                eigenvalues = np.linalg.eigvalsh(data)
+            if eigenvalues.min() < -1e-10:
                 raise ValueError("density matrix must be positive semidefinite")
         else:
             raise ValueError(f"kind must be 'pure' or 'mixed', got {self.kind!r}")

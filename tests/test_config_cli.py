@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import qfringe
-from qfringe import ConfigError, parse_config
+from qfringe import ConfigError, cli, parse_config
 from qfringe.cli import main
 from qfringe.config import MAX_QUBIT_CUTOFF, MEMORY_BUDGET_BYTES, apply_overrides, load_config
 from qfringe.fock import FockSpace, coherent_state, fock_state, thermal_state
@@ -29,6 +30,14 @@ def write_config(tmp_path, payload, name="run_config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_cli_process(*args):
+    """`python -m qfringe ARGS` as its own process, importing this checkout's package."""
+    paths = [SRC_DIR, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in paths if path))
+    command = [sys.executable, "-m", "qfringe", *args]
+    return subprocess.run(command, capture_output=True, text=True, env=env, check=False)
 
 
 def test_minimal_fringe_config_round_trip():
@@ -480,8 +489,6 @@ def test_cli_exit_code_non_finite_result(tmp_path):
     # tiny rather than zero and |T|^2 overflows: the table would hold inf
     # and nan, so nothing is written. The CLI runs as its own process, so a
     # numpy floating-point warning would reach its stderr beside the one error line.
-    paths = [SRC_DIR, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in paths if path))
     for experiment in ("fringe", "compare"):
         out = tmp_path / f"{experiment}.csv"
         payload = {
@@ -490,8 +497,7 @@ def test_cli_exit_code_non_finite_result(tmp_path):
             "scan": {"x_min": 0.0, "x_max": 5e-6, "n_points": 3},
             "output": {"path": str(out)},
         }
-        command = [sys.executable, "-m", "qfringe", "--config", write_config(tmp_path, payload)]
-        result = subprocess.run(command, capture_output=True, text=True, env=env, check=False)
+        result = run_cli_process("--config", write_config(tmp_path, payload))
         assert result.returncode == 4
         lines = result.stderr.splitlines()
         assert len(lines) == 1, result.stderr
@@ -556,6 +562,7 @@ PINNED_GEOMETRY = {
     "screen_z": 1.3,
     "wavelength": 612e-9,
 }
+PINNED_SCAN = {"x_min": -0.03, "x_max": 0.021, "n_points": 301}
 SCAN_OUTPUT_DIGESTS = [
     (
         "fringe",
@@ -605,7 +612,7 @@ def test_cli_scan_output_bytes_pinned(tmp_path, experiment, source_state, flags,
     payload = {
         "experiment": experiment,
         "geometry": PINNED_GEOMETRY,
-        "scan": {"x_min": -0.03, "x_max": 0.021, "n_points": 301},
+        "scan": PINNED_SCAN,
         "output": {"path": str(out), "format": fmt},
     }
     if source_state is not None:
@@ -627,6 +634,58 @@ def test_cli_verify_output_bytes_pinned(tmp_path, fmt, digest):
     payload = {"experiment": "verify", "output": {"path": str(out), "format": fmt}}
     assert main(["--config", write_config(tmp_path, payload)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Three of the pins above, run the way the console script and the benchmark
+# run them: `python -m qfringe` reaches main() through entry(), which freezes
+# the import-time heap first.
+PROCESS_OUTPUT_DIGESTS = [
+    ("qubit", {"qubit": QUBIT_OUTPUT_DIGESTS[0][0], "scan": QUBIT_OUTPUT_DIGESTS[0][1]}, *QUBIT_OUTPUT_DIGESTS[0][2:]),
+    (
+        "fringe",
+        {"geometry": PINNED_GEOMETRY, "scan": PINNED_SCAN, "source_state": SCAN_OUTPUT_DIGESTS[0][1]},
+        *SCAN_OUTPUT_DIGESTS[0][3:],
+    ),
+    ("verify", {}, *VERIFY_OUTPUT_DIGESTS[0]),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, fields, fmt, digest", PROCESS_OUTPUT_DIGESTS, ids=["qubit_c16_csv", "fringe_exact", "verify_json"]
+)
+def test_cli_process_output_bytes_pinned(tmp_path, experiment, fields, fmt, digest):
+    out = tmp_path / f"{experiment}.{fmt}"
+    payload = {"experiment": experiment, **fields, "output": {"path": str(out), "format": fmt}}
+    result = run_cli_process("--config", write_config(tmp_path, payload))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"wrote {experiment} output: {out}\n"
+    assert result.stderr == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_process_config_error_exits_2(tmp_path):
+    payload = dict(MINIMAL_FRINGE, scan=dict(MINIMAL_FRINGE["scan"], n_points=1))
+    result = run_cli_process("--config", write_config(tmp_path, payload))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("config error: scan.n_points")
+
+
+def test_entry_freezes_once_before_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.entry()
+    assert excinfo.value.code == 0
+    assert calls == ["freeze", "main"]
+
+
+def test_main_in_process_does_not_freeze(tmp_path):
+    before = gc.get_freeze_count()
+    payload = dict(MINIMAL_FRINGE, output={"path": str(tmp_path / "fringe.csv")})
+    assert main(["--config", write_config(tmp_path, payload)]) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_cli_rejects_seed_option(tmp_path, capsys):

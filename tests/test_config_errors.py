@@ -71,6 +71,9 @@ BAD_CONFIGS = [
     ("no_wavelength_or_k", _with(FRINGE, "geometry", wavelength=None), "geometry.wavelength"),
     ("k_negative", _with(FRINGE, "geometry", wavelength=None, k=-1.0), "geometry"),
     ("source_above_slits", _with(FRINGE, "geometry", source=[0.0, 1.0]), "geometry"),
+    ("screen_z_square_overflows", _with(FRINGE, "geometry", screen_z=1e155), "geometry"),
+    ("compare_screen_z_square_overflows", _with(dict(FRINGE, experiment="compare"), "geometry", screen_z=1e200), "geometry"),
+    ("source_z_square_overflows", _with(FRINGE, "geometry", source=[0.0, -1e200]), "geometry"),
     ("unknown_geometry_key", _with(FRINGE, "geometry", slitz=[0.0]), "geometry.slitz"),
     ("compare_three_slits", _with(dict(FRINGE, experiment="compare"), "geometry", slits=[-1e-5, 0.0, 1e-5]), "geometry.slits"),
     # scan

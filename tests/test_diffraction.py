@@ -77,6 +77,23 @@ def test_geometry_validation():
             SlitGeometry(**{**valid, **bad})
 
 
+def test_geometry_rejects_coordinates_whose_square_overflows():
+    # The legs square coordinates as Python floats, which raise OverflowError
+    # past about 1.34e154 m; such a geometry is refused when it is built.
+    valid = dict(source=(0.0, -1.0), slits=(0.0, 1e-5), screen_z=1.0, k=1.0)
+    for bad in (
+        dict(screen_z=1e155),
+        dict(screen_z=1e200),
+        dict(source=(0.0, -1e200)),
+        dict(source=(1e200, -1.0)),
+        dict(slits=(0.0, -1e200)),
+    ):
+        with pytest.raises(ValueError, match="finite square"):
+            SlitGeometry(**{**valid, **bad})
+    geom = SlitGeometry(**{**valid, "screen_z": 1e154})
+    assert np.all(np.isfinite(transfer_coefficients(geom, [0.0, 1.0])))
+
+
 def test_path_lengths_mirror_symmetry():
     geom = canonical_geometry()
     s, r = path_lengths(geom, 0.0)

@@ -151,6 +151,26 @@ def test_state_validation():
     assert rho.dim == 2
 
 
+def test_density_matrix_positivity_checked_on_and_off_the_diagonal():
+    # Diagonal: the eigenvalues are the diagonal, read against the same -1e-10 bound.
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        QuantumState("mixed", np.diag([1.0 + 1e-9, -1e-9]).astype(complex))
+    # Not diagonal: eigenvalues 1.1 and -0.1 come from the Hermitian solver.
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        QuantumState("mixed", np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex))
+
+
+def test_thermal_state_skips_the_eigensolver(monkeypatch):
+    def eigvalsh(_):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert thermal_state(FockSpace(64), 0.7).dim == 64
+    assert thermal_state(FockSpace(8), 0.0).dim == 8
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        QuantumState("mixed", np.full((2, 2), 0.5, dtype=complex))
+
+
 def test_fock_state_multimode_and_errors():
     space = FockSpace(3, 2)
     state = fock_state(space, (1, 2))
