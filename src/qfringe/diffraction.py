@@ -132,30 +132,20 @@ def intensity_expectation(state: QuantumState, geom: SlitGeometry, x_detector):
     return float(values[0]) if np.ndim(x_detector) == 0 else values
 
 
-def single_photon_fringe(geom: SlitGeometry, x_detector, mode: str = "far_field"):
-    """Two-slit detection probability for a single source photon.
+def single_photon_fringe(geom: SlitGeometry, x_detector):
+    """Two-slit far-field detection probability for a single source photon.
 
-    far_field: (1 + cos(k dr)) / 2 with dr the exact path difference and the
-    1/r amplitude factors dropped into the overall normalization. Only those
+    (1 + cos(k dr)) / 2 with dr the exact path difference and the 1/r
+    amplitude factors dropped into the overall normalization. Only those
     amplitude factors are dropped: this is not the Fraunhofer linearization
     dr = d x / L, which overestimates dr by about (x^2 + a^2) / 2L^2 relative
     with a = d / 2 (at 12.5 mm on a 1 m screen the paraxial 0.5 is 6.1e-5
-    below this value).
-    exact: full intensity on |1>, normalized to its maximum over the supplied
-    detector points (so array input defines the scan it is normalized on).
+    below this value). The exact fringe is `fringe_scan`'s probability column.
     """
     if geom.slit_count != 2:
         raise ValueError(f"single_photon_fringe requires exactly 2 slits, got {geom.slit_count}")
-    xs = np.atleast_1d(np.asarray(x_detector, dtype=float))
-    if mode == "far_field":
-        _, r = path_lengths(geom, xs)
-        values = 0.5 * (1.0 + np.cos(geom.k * (r[:, 0] - r[:, 1])))
-    elif mode == "exact":
-        raw = np.abs(transfer_coefficients(geom, xs)) ** 2
-        peak = raw.max()
-        values = raw / peak if peak > 0.0 else raw
-    else:
-        raise ValueError(f"mode must be 'far_field' or 'exact', got {mode!r}")
+    _, r = path_lengths(geom, np.atleast_1d(np.asarray(x_detector, dtype=float)))
+    values = 0.5 * (1.0 + np.cos(geom.k * (r[:, 0] - r[:, 1])))
     return float(values[0]) if np.ndim(x_detector) == 0 else values
 
 
@@ -193,9 +183,12 @@ def fringe_scan(
     """Uniform scan of the screen, computed by one `transfer_coefficients` call.
 
     The raw intensity column always carries the exact |transfer|^2 times the
-    source occupation; the probability column is the selected fringe law
-    (exact rows are normalized to the scan maximum).
+    source occupation (1 for the default single photon); the probability
+    column is the selected fringe law: exact rows are the raw intensity
+    normalized to the scan maximum, far_field rows `single_photon_fringe`.
     """
+    if mode not in ("exact", "far_field"):
+        raise ValueError(f"mode must be 'far_field' or 'exact', got {mode!r}")
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")
     if not x_max > x_min:
@@ -208,5 +201,5 @@ def fringe_scan(
         peak = raw.max()
         probs = raw / peak if peak > 0.0 else raw.copy()
     else:
-        probs = single_photon_fringe(geom, xs, mode=mode)
+        probs = single_photon_fringe(geom, xs)
     return FringeTable(x=xs, probability=probs, raw_intensity=raw)

@@ -153,16 +153,20 @@ class QuantumState:
         elif self.kind == "mixed":
             if data.ndim != 2 or data.shape[0] != data.shape[1]:
                 raise ValueError("density matrix must be square")
-            if np.max(np.abs(data - data.conj().T)) > HERMITIAN_TOL:
+            diagonal = np.diagonal(data)
+            is_diagonal = np.count_nonzero(data) == np.count_nonzero(diagonal)
+            # On a diagonal matrix, data - data^H is exactly 2i Im(d) on the diagonal.
+            if is_diagonal:
+                asymmetry = 2.0 * np.max(np.abs(diagonal.imag))
+            else:
+                asymmetry = np.max(np.abs(data - data.conj().T))
+            if asymmetry > HERMITIAN_TOL:
                 raise ValueError("density matrix must be Hermitian")
             tr = np.trace(data)
             if abs(tr - 1.0) > HERMITIAN_TOL:
                 raise ValueError(f"density matrix trace must be 1, got {tr}")
-            diagonal = np.diagonal(data)
-            if np.count_nonzero(data) == np.count_nonzero(diagonal):
-                eigenvalues = diagonal.real  # a diagonal matrix's eigenvalues are its diagonal
-            else:
-                eigenvalues = np.linalg.eigvalsh(data)
+            # A diagonal matrix's eigenvalues are its diagonal.
+            eigenvalues = diagonal.real if is_diagonal else np.linalg.eigvalsh(data)
             if eigenvalues.min() < -1e-10:
                 raise ValueError("density matrix must be positive semidefinite")
         else:
@@ -237,7 +241,7 @@ def thermal_state(space: FockSpace, nbar: float) -> QuantumState:
         weights = np.array([ratio**n / (1.0 + nbar) for n in range(space.cutoff)])
     kept = float(weights.sum())
     lost = max(0.0, 1.0 - kept)
-    rho = np.diag(weights / kept).astype(complex)
+    rho = np.diag((weights / kept).astype(complex))
     return QuantumState("mixed", rho, lost_weight=lost)
 
 

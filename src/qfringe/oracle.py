@@ -257,7 +257,7 @@ def run_verification_suite() -> list[VerificationCheck]:
     # Interference pipelines against the slit-mode model.
     geom = _canonical_geometry()
     xs = np.linspace(-0.025, 0.025, 101)
-    fringe = diffraction.single_photon_fringe(geom, xs, mode="far_field")
+    fringe = diffraction.single_photon_fringe(geom, xs)
     oracle_vals = slit_mode_oracle(geom, xs)
     checks.append(
         _check(
@@ -274,7 +274,7 @@ def run_verification_suite() -> list[VerificationCheck]:
         )
     )
     raw = diffraction.intensity_expectation(fock_state(FockSpace(2), 1), geom, xs)
-    exact = diffraction.single_photon_fringe(geom, xs, mode="exact")
+    exact = diffraction.fringe_scan(geom, -0.025, 0.025, 101).probability
     checks.append(
         _check("exact_fringe_vs_intensity_pipeline", np.max(np.abs(raw / raw.max() - exact)), 1e-12)
     )

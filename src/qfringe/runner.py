@@ -11,7 +11,7 @@ import numpy as np
 
 from . import oracle
 from .config import RunConfig
-from .diffraction import DegenerateGeometryError, fringe_scan, single_photon_fringe
+from .diffraction import DegenerateGeometryError, FringeTable, fringe_scan
 from .qubit import transition_probability
 from .tableio import csv_text, json_document
 
@@ -39,17 +39,14 @@ class _Table:
     csv_footer: bool = False  # also write `summary` as `# name = value` lines after the CSV rows
 
 
+def _scan(config: RunConfig, state=None) -> FringeTable:
+    """The configured screen scan; a single source photon unless `state` is given."""
+    scan, mode = config.scan, "far_field" if config.far_field else "exact"
+    return fringe_scan(config.geometry, scan.x_min, scan.x_max, scan.n_points, mode=mode, state=state)
+
+
 def _fringe_table(config: RunConfig) -> _Table:
-    scan = config.scan
-    mode = "far_field" if config.far_field else "exact"
-    table = fringe_scan(
-        config.geometry,
-        scan.x_min,
-        scan.x_max,
-        scan.n_points,
-        mode=mode,
-        state=config.source_state,
-    )
+    table = _scan(config, config.source_state)
     columns = dict(x_D=table.x, probability=table.probability, raw_intensity=table.raw_intensity)
     return _Table(_require_finite(columns))
 
@@ -61,10 +58,8 @@ def _qubit_table(config: RunConfig) -> _Table:
 
 
 def _compare_table(config: RunConfig) -> _Table:
-    scan = config.scan
-    xs = np.linspace(scan.x_min, scan.x_max, scan.n_points)
-    mode = "far_field" if config.far_field else "exact"
-    heisenberg = single_photon_fringe(config.geometry, xs, mode=mode)
+    table = _scan(config)
+    xs, heisenberg = table.x, table.probability
     oracle_vals = oracle.slit_mode_oracle(config.geometry, xs)
     deviations = np.abs(heisenberg - oracle_vals)
     columns = dict(x_D=xs, heisenberg=heisenberg, oracle=oracle_vals, abs_deviation=deviations)

@@ -78,7 +78,7 @@ def test_criterion_1_fringe_law():
 
     targets = ((0.0, 1.0, 1e-6), (0.025, 0.0, 1e-4))
     for x, target, tolerance in targets:
-        value = single_photon_fringe(geom, x, mode="far_field")
+        value = single_photon_fringe(geom, x)
         subchecks.append(
             (
                 f"far-field probability at x_D={x}",
@@ -93,7 +93,7 @@ def test_criterion_1_fringe_law():
     # the probability by pi/4 of that. The bound is twice the next-order term,
     # (pi/4)(3/8)(x/z)^4.
     x, a, z = 0.0125, SLIT_HALF_SEPARATION, SCREEN_DISTANCE
-    value = single_photon_fringe(geom, x, mode="far_field")
+    value = single_photon_fringe(geom, x)
     correction = math.pi / 4 * (x**2 + a**2) / (2 * z**2)
     tolerance = 2 * math.pi / 4 * 3 / 8 * (x / z) ** 4
     residual = value - 0.5 - correction
@@ -106,7 +106,7 @@ def test_criterion_1_fringe_law():
     )
 
     xs = np.linspace(-0.025, 0.025, 101)
-    scan = single_photon_fringe(geom, xs, mode="far_field")
+    scan = single_photon_fringe(geom, xs)
     oracle = np.array([fringe_law_oracle(x) for x in xs])
     scan_dev = float(np.max(np.abs(scan - oracle)))
     subchecks.append(
@@ -128,7 +128,7 @@ def test_criterion_2_picture_equivalence():
 
     geom = canonical_geometry()
     xs = np.linspace(-0.025, 0.025, 101)
-    fringe = single_photon_fringe(geom, xs, mode="far_field")
+    fringe = single_photon_fringe(geom, xs)
     oracle_scan = slit_mode_oracle(geom, xs)
     fringe_dev = float(np.max(np.abs(fringe - oracle_scan)))
     subchecks.append(
@@ -254,7 +254,7 @@ def test_criterion_5_fermionic_equivalence():
     geom = canonical_geometry()
     xs = np.linspace(-0.025, 0.025, 101)
     fermionic = fermionic_fringe(geom, xs)
-    bosonic = single_photon_fringe(geom, xs, mode="far_field")
+    bosonic = single_photon_fringe(geom, xs)
     deviation = float(np.max(np.abs(fermionic - bosonic)))
     finish(
         "criterion 5: fermionic interference equals bosonic",

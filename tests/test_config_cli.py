@@ -1,5 +1,7 @@
 import gc
 import hashlib
+import inspect
+import itertools
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import qfringe
-from qfringe import ConfigError, cli, parse_config
+from qfringe import ConfigError, cli, parse_config, runner
 from qfringe.cli import main
 from qfringe.config import MAX_QUBIT_CUTOFF, MEMORY_BUDGET_BYTES, apply_overrides, load_config
 from qfringe.fock import FockSpace, coherent_state, fock_state, thermal_state
@@ -468,13 +470,20 @@ def test_cli_exit_code_unwritable_output(tmp_path):
 
 
 def test_cli_exit_code_degenerate_geometry(tmp_path, capsys):
-    # A valid config: screen_z**2 underflows to 0, so the scan point on the
-    # slit at +5 um gets a zero-length leg.
-    for experiment in ("fringe", "compare"):
+    # Valid configs with a zero-length leg. In the first, screen_z**2
+    # underflows to 0, so the scan point at +5 um sits on a slit; in the
+    # second, the source's z**2 does, so the source sits on the slit at +5 um.
+    # The far-field law never forms the source legs, but every scan's raw
+    # intensity does.
+    geometries = (
+        {"slits": [-5e-6, 5e-6], "screen_z": 1e-200, "wavelength": 500e-9},
+        {"source": [5e-6, -1e-170], "slits": [-5e-6, 5e-6], "screen_z": 1.0, "wavelength": 500e-9},
+    )
+    for experiment, geometry in itertools.product(("fringe", "compare"), geometries):
         out = tmp_path / f"{experiment}.csv"
         payload = {
             "experiment": experiment,
-            "geometry": {"slits": [-5e-6, 5e-6], "screen_z": 1e-200, "wavelength": 500e-9},
+            "geometry": geometry,
             "scan": {"x_min": 0.0, "x_max": 5e-6, "n_points": 3},
             "output": {"path": str(out)},
         }
@@ -599,13 +608,27 @@ SCAN_OUTPUT_DIGESTS = [
         "json",
         "4670985a4115f54ec1b99caf24eb577e5921f4f63a2cc6d54730c3515432ee61",
     ),
+    (
+        "fringe",
+        {"thermal": 0.7, "cutoff": 12},
+        ["--far-field"],
+        "csv",
+        "d3c5d355e9e00ad7d8d38d359a498383adc536d5567a4dd094c3a1d3ae2fe61f",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "experiment, source_state, flags, fmt, digest",
     SCAN_OUTPUT_DIGESTS,
-    ids=["fringe_exact", "compare_exact", "compare_far_field", "fringe_exact_json", "compare_exact_json"],
+    ids=[
+        "fringe_exact",
+        "compare_exact",
+        "compare_far_field",
+        "fringe_exact_json",
+        "compare_exact_json",
+        "fringe_far_field",
+    ],
 )
 def test_cli_scan_output_bytes_pinned(tmp_path, experiment, source_state, flags, fmt, digest):
     out = tmp_path / f"{experiment}.{fmt}"
@@ -636,27 +659,35 @@ def test_cli_verify_output_bytes_pinned(tmp_path, fmt, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# Three of the pins above, run the way the console script and the benchmark
+# Four of the pins above, run the way the console script and the benchmark
 # run them: `python -m qfringe` reaches main() through entry(), which freezes
 # the import-time heap first.
 PROCESS_OUTPUT_DIGESTS = [
-    ("qubit", {"qubit": QUBIT_OUTPUT_DIGESTS[0][0], "scan": QUBIT_OUTPUT_DIGESTS[0][1]}, *QUBIT_OUTPUT_DIGESTS[0][2:]),
+    (
+        "qubit",
+        {"qubit": QUBIT_OUTPUT_DIGESTS[0][0], "scan": QUBIT_OUTPUT_DIGESTS[0][1]},
+        [],
+        *QUBIT_OUTPUT_DIGESTS[0][2:],
+    ),
     (
         "fringe",
         {"geometry": PINNED_GEOMETRY, "scan": PINNED_SCAN, "source_state": SCAN_OUTPUT_DIGESTS[0][1]},
-        *SCAN_OUTPUT_DIGESTS[0][3:],
+        *SCAN_OUTPUT_DIGESTS[0][2:],
     ),
-    ("verify", {}, *VERIFY_OUTPUT_DIGESTS[0]),
+    ("compare", {"geometry": PINNED_GEOMETRY, "scan": PINNED_SCAN}, *SCAN_OUTPUT_DIGESTS[2][2:]),
+    ("verify", {}, [], *VERIFY_OUTPUT_DIGESTS[0]),
 ]
 
 
 @pytest.mark.parametrize(
-    "experiment, fields, fmt, digest", PROCESS_OUTPUT_DIGESTS, ids=["qubit_c16_csv", "fringe_exact", "verify_json"]
+    "experiment, fields, flags, fmt, digest",
+    PROCESS_OUTPUT_DIGESTS,
+    ids=["qubit_c16_csv", "fringe_exact", "compare_far_field", "verify_json"],
 )
-def test_cli_process_output_bytes_pinned(tmp_path, experiment, fields, fmt, digest):
+def test_cli_process_output_bytes_pinned(tmp_path, experiment, fields, flags, fmt, digest):
     out = tmp_path / f"{experiment}.{fmt}"
     payload = {"experiment": experiment, **fields, "output": {"path": str(out), "format": fmt}}
-    result = run_cli_process("--config", write_config(tmp_path, payload))
+    result = run_cli_process("--config", write_config(tmp_path, payload), *flags)
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"wrote {experiment} output: {out}\n"
     assert result.stderr == ""
@@ -669,6 +700,13 @@ def test_cli_process_config_error_exits_2(tmp_path):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.count("\n") == 1 and result.stderr.startswith("config error: scan.n_points")
+
+
+def test_runner_calls_keep_the_parameter_names_the_traced_benchmark_binds():
+    # perfbench/tracing.py wraps these runner attributes and reads the call's
+    # arguments by name, so a rename would crash only traced benchmark runs.
+    assert {"geom", "n_points", "state"} <= set(inspect.signature(runner.fringe_scan).parameters)
+    assert "params" in inspect.signature(runner.transition_probability).parameters
 
 
 def test_entry_freezes_once_before_main(monkeypatch):

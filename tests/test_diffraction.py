@@ -270,18 +270,16 @@ def test_far_field_half_wave_point_vanishes():
     assert single_photon_fringe(geom, x_dark) < 1e-10
 
 
-def test_fringe_requires_two_slits_and_known_mode():
+def test_fringe_requires_two_slits():
     single = SlitGeometry(source=(0.0, -1.0), slits=(0.0,), screen_z=1.0, k=1.0)
     with pytest.raises(ValueError):
         single_photon_fringe(single, 0.0)
-    with pytest.raises(ValueError):
-        single_photon_fringe(canonical_geometry(), 0.0, mode="nearfield")
 
 
 def test_exact_fringe_matches_intensity_pipeline():
     geom = canonical_geometry()
     xs = np.linspace(-0.025, 0.025, 101)
-    fringe = single_photon_fringe(geom, xs, mode="exact")
+    fringe = fringe_scan(geom, -0.025, 0.025, 101).probability
     photon = fock_state(FockSpace(2), 1)
     raw = np.array([intensity_expectation(photon, geom, x) for x in xs])
     assert np.max(np.abs(fringe - raw / raw.max())) < 1e-12
@@ -291,8 +289,8 @@ def test_far_field_vs_exact_in_fraunhofer_regime():
     geom = canonical_geometry()
     assert geom.screen_z / (2 * SLIT_HALF_SEPARATION) > 1e4
     xs = np.linspace(-0.025, 0.025, 101)
-    far = single_photon_fringe(geom, xs, mode="far_field")
-    exact = single_photon_fringe(geom, xs, mode="exact")
+    far = single_photon_fringe(geom, xs)
+    exact = fringe_scan(geom, -0.025, 0.025, 101).probability
     assert np.max(np.abs(far - exact)) < 1e-3
 
 
@@ -370,7 +368,7 @@ def test_fermionic_fringe_matches_bosonic_scan():
     geom = canonical_geometry()
     xs = np.linspace(-0.025, 0.025, 101)
     fermionic = fermionic_fringe(geom, xs)
-    bosonic = single_photon_fringe(geom, xs, mode="far_field")
+    bosonic = single_photon_fringe(geom, xs)
     assert np.max(np.abs(fermionic - bosonic)) < 1e-10
 
 

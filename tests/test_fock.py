@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,31 @@ def test_density_matrix_positivity_checked_on_and_off_the_diagonal():
     # Not diagonal: eigenvalues 1.1 and -0.1 come from the Hermitian solver.
     with pytest.raises(ValueError, match="positive semidefinite"):
         QuantumState("mixed", np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex))
+
+
+def traced_peak(build):
+    """Peak bytes that tracemalloc sees while `build()` runs (or raises)."""
+    tracemalloc.start()
+    try:
+        try:
+            build()
+        except ValueError:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_diagonal_density_matrix_hermiticity_read_on_the_diagonal():
+    # On a diagonal matrix, rho - rho^H is exactly 2i Im(d) on the diagonal, so
+    # the check reads the diagonal: the state's own copy of rho is its only
+    # dense array, and thermal_state adds just the matrix it hands over.
+    rho = np.diag(np.full(400, 1 / 400)).astype(complex)
+    rho[3, 3] += 1e-9j
+    with pytest.raises(ValueError, match="Hermitian"):
+        QuantumState("mixed", rho)
+    assert traced_peak(lambda: QuantumState("mixed", rho)) < 1.5 * rho.nbytes
+    assert traced_peak(lambda: thermal_state(FockSpace(400), 0.7)) < 2.5 * rho.nbytes
 
 
 def test_thermal_state_skips_the_eigensolver(monkeypatch):

@@ -177,7 +177,7 @@ def test_slit_mode_oracle_matches_heisenberg_scan():
     geom = canonical_geometry()
     xs = np.linspace(-0.025, 0.025, 101)
     oracle_vals = slit_mode_oracle(geom, xs)
-    heisenberg = single_photon_fringe(geom, xs, mode="far_field")
+    heisenberg = single_photon_fringe(geom, xs)
     assert np.max(np.abs(oracle_vals - heisenberg)) < 1e-10
 
 
@@ -192,7 +192,7 @@ def test_slit_mode_oracle_legs_round_as_far_field_law():
         k=wavenumber(4.4633832431843195e-07),
     )
     xs = np.linspace(-0.2313511265863337, 0.2694448922999419, 20001)[[2856, 15085]]
-    far_field = single_photon_fringe(geom, xs, mode="far_field")
+    far_field = single_photon_fringe(geom, xs)
     assert np.max(np.abs(slit_mode_oracle(geom, xs) - far_field)) < 1e-10
 
 
