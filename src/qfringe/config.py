@@ -5,14 +5,14 @@ Config builds the objects the run consumes: `geometry` becomes a
 `QubitModelParams`. Their constructors enforce their own ranges, and a
 `ValueError` from one becomes a `ConfigError` naming the field. Config adds
 only CLI policy: the size caps below, the finite-phase check, the 2-slit rule
-of compare and far-field mode, and the scan checks (`ScanSpec` and
-`OutputSpec` have no library counterpart).
+of compare and far-field mode, far-field mode's limit to fringe and compare,
+and the scan checks (`ScanSpec` and `OutputSpec` have no library counterpart).
 
-Unknown keys are rejected (with a nearest-key hint when one is a single
-edit away); every quantity is in SI units with no unit strings. Documented
-defaults: source at (0, -1) m, single-photon source state with cutoff 16,
-qubit omega 1.0 with per-mode cutoff 8, csv output named after the
-experiment.
+Unknown keys (with a nearest-key hint when one is a single edit away) and
+repeated keys are rejected; every quantity is in SI units with no unit
+strings. Documented defaults: source at (0, -1) m, single-photon source state
+with cutoff 16, qubit omega 1.0 with per-mode cutoff 8, csv output named
+after the experiment.
 """
 
 from __future__ import annotations
@@ -121,6 +121,16 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], context: str) -> None:
                     message += f" (did you mean '{candidate}'?)"
                     break
             raise ConfigError(message, field=loc)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The `object_pairs_hook` of `parse_config`: a repeated key is an error, not an overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key '{key}'", field=key)
+        obj[key] = value
+    return obj
 
 
 def _read_mapping(value, field: str) -> dict:
@@ -287,7 +297,7 @@ def _parse_output(raw: dict, experiment: str) -> OutputSpec:
 def parse_config(text: str) -> RunConfig:
     """Parse a JSON run configuration and build the objects the run uses."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -346,8 +356,10 @@ def apply_overrides(
     if output_path is not None:
         output = OutputSpec(path=output_path, format=output.format)
     far = config.far_field or far_field
-    if far and config.geometry is not None and config.geometry.slit_count != 2:
+    if far and config.experiment not in _SCREEN_EXPERIMENTS:
         raise ConfigError(
-            "far-field mode requires exactly 2 slits", field="geometry.slits"
+            "far-field mode applies to the fringe and compare experiments", field="experiment"
         )
+    if far and config.geometry.slit_count != 2:
+        raise ConfigError("far-field mode requires exactly 2 slits", field="geometry.slits")
     return replace(config, output=output, far_field=far)

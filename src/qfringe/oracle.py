@@ -6,8 +6,8 @@ state propagators come from the eigendecomposition of the Hermitian
 Hamiltonian, which is exact at these sizes and leaves no convergence knob
 on the oracle side; the operator side of the picture-equivalence check uses
 a scaling-and-squaring Taylor exponential instead, so the two sides share no
-code path. Only numpy is needed. The registered checks are deterministic, so
-repeated verification runs produce identical reports.
+code path. Only numpy is needed. The checks registered in `CHECKS` are
+deterministic, so repeated verification runs produce identical reports.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from . import diffraction, qubit
 from .fock import (
+    HERMITIAN_TOL,
     FockSpace,
     QuantumState,
     annihilation_op,
@@ -36,13 +37,13 @@ from .fock import (
 _SUITE_SEED = 20260809
 
 
-def _require_hermitian(h: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _require_hermitian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("Hamiltonian must be a square matrix")
     if not np.isfinite(h).all():
         raise ValueError("Hamiltonian entries must be finite")
-    if np.max(np.abs(h - h.conj().T)) > tol:
+    if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL:
         raise ValueError("Hamiltonian must be Hermitian")
     return h
 
@@ -206,192 +207,178 @@ class VerificationCheck:
 
 def _check(name: str, deviation: float, tolerance: float) -> VerificationCheck:
     deviation = float(deviation)
-    return VerificationCheck(
-        check=name,
-        max_deviation=deviation,
-        tolerance=tolerance,
-        passed=deviation <= tolerance,
-    )
+    return VerificationCheck(name, deviation, tolerance, passed=deviation <= tolerance)
 
 
-def _canonical_geometry() -> diffraction.SlitGeometry:
-    return diffraction.SlitGeometry(
-        source=(0.0, -1.0),
-        slits=(-5e-6, 5e-6),
-        screen_z=1.0,
-        k=diffraction.wavenumber(500e-9),
-    )
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (m + m.conj().T) / 2.0
 
 
-def run_verification_suite() -> list[VerificationCheck]:
-    """Run every registered differential and invariant check, in fixed order."""
-    rng = np.random.default_rng(_SUITE_SEED)
-    checks: list[VerificationCheck] = []
+def random_pure(rng: np.random.Generator, dim: int) -> QuantumState:
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return QuantumState("pure", v / np.linalg.norm(v))
 
-    def random_hermitian(dim: int) -> np.ndarray:
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        return (m + m.conj().T) / 2.0
 
-    def random_pure(dim: int) -> QuantumState:
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return QuantumState("pure", v / np.linalg.norm(v))
+# The checks' fixtures; every CLI run imports this module, so none builds an operator.
+_GEOM = diffraction.SlitGeometry(
+    source=(0.0, -1.0), slits=(-5e-6, 5e-6), screen_z=1.0, k=diffraction.wavenumber(500e-9)
+)
+_XS = np.linspace(-0.025, 0.025, 101)
+_PARAMS = qubit.QubitModelParams(omega=1.0, cutoff=4)
+_SMALL = qubit.QubitModelParams(omega=1.0, cutoff=3)
+_PHASES = (0.1, 0.7, math.pi / 3.0, 2.5)  # omega * t of the Pauli checks
 
-    # Oracle self-consistency.
-    h8 = random_hermitian(8)
-    u8 = unitary_evolution(h8, 1.3)
-    checks.append(
-        _check(
-            "oracle_unitarity",
-            np.max(np.abs(u8.conj().T @ u8 - np.eye(8))),
-            1e-12,
-        )
-    )
 
+# Oracle self-consistency; the only checks that draw from the suite's generator.
+def _oracle_unitarity(rng: np.random.Generator) -> float:
+    u8 = unitary_evolution(random_hermitian(rng, 8), 1.3)
+    return np.max(np.abs(u8.conj().T @ u8 - np.eye(8)))
+
+
+def _picture_equivalence(rng: np.random.Generator) -> float:
     dev = 0.0
     for _ in range(4):
-        h4 = random_hermitian(4)
-        op4 = random_hermitian(4)
-        dev = max(dev, picture_equivalence_check(op4, random_pure(4), h4, 1.3))
-    checks.append(_check("picture_equivalence", dev, 1e-10))
+        h4 = random_hermitian(rng, 4)
+        op4 = random_hermitian(rng, 4)
+        dev = max(dev, picture_equivalence_check(op4, random_pure(rng, 4), h4, 1.3))
+    return dev
 
-    # Interference pipelines against the slit-mode model.
-    geom = _canonical_geometry()
-    xs = np.linspace(-0.025, 0.025, 101)
-    fringe = diffraction.single_photon_fringe(geom, xs)
-    oracle_vals = slit_mode_oracle(geom, xs)
-    checks.append(
-        _check(
-            "fringe_heisenberg_vs_slit_modes",
-            np.max(np.abs(fringe - oracle_vals)),
-            1e-10,
-        )
-    )
-    checks.append(
-        _check(
-            "fermionic_vs_bosonic_fringe",
-            np.max(np.abs(fermionic_fringe(geom, xs) - fringe)),
-            1e-10,
-        )
-    )
-    raw = diffraction.intensity_expectation(fock_state(FockSpace(2), 1), geom, xs)
-    exact = diffraction.fringe_scan(geom, -0.025, 0.025, 101).probability
-    checks.append(
-        _check("exact_fringe_vs_intensity_pipeline", np.max(np.abs(raw / raw.max() - exact)), 1e-12)
-    )
 
-    # Qubit dynamics against state evolution.
-    params = qubit.QubitModelParams(omega=1.0, cutoff=4)
-    h_qubit = qubit.hamiltonian(params)
+# Interference pipelines against the slit-mode model.
+def _fringe_heisenberg_vs_slit_modes(_rng) -> float:
+    return np.max(np.abs(diffraction.single_photon_fringe(_GEOM, _XS) - slit_mode_oracle(_GEOM, _XS)))
+
+
+def _fermionic_vs_bosonic_fringe(_rng) -> float:
+    return np.max(np.abs(fermionic_fringe(_GEOM, _XS) - diffraction.single_photon_fringe(_GEOM, _XS)))
+
+
+def _exact_fringe_vs_intensity_pipeline(_rng) -> float:
+    raw = diffraction.intensity_expectation(fock_state(FockSpace(2), 1), _GEOM, _XS)
+    exact = diffraction.fringe_scan(_GEOM, -0.025, 0.025, 101).probability
+    return np.max(np.abs(raw / raw.max() - exact))
+
+
+# Qubit dynamics against state evolution.
+def _transition_probability_vs_schrodinger(_rng) -> float:
     times = np.linspace(0.0, 2.0 * math.pi, 100)
-    oracle_flips = transition_probability_oracle(params, times)
-    dev = np.max(np.abs(qubit.transition_probability(params, times) - oracle_flips))
-    checks.append(_check("transition_probability_vs_schrodinger", dev, 1e-10))
+    oracle_flips = transition_probability_oracle(_PARAMS, times)
+    return np.max(np.abs(qubit.transition_probability(_PARAMS, times) - oracle_flips))
 
-    base = qubit.pauli_set(params)
-    rotation_dev = 0.0
-    sigma_z_dev = 0.0
-    for wt in (0.1, 0.7, math.pi / 3.0, 2.5):
-        t = wt / params.omega
-        evolved = qubit.pauli_evolved(params, t)
-        rotation_dev = max(
-            rotation_dev,
-            np.max(np.abs(heisenberg_conjugate(base.sigma_x, h_qubit, t) - evolved.sigma_x)),
-            np.max(np.abs(heisenberg_conjugate(base.sigma_y, h_qubit, t) - evolved.sigma_y)),
-        )
-        sigma_z_dev = max(
-            sigma_z_dev,
-            np.max(np.abs(heisenberg_conjugate(base.sigma_z, h_qubit, t) - base.sigma_z)),
-        )
-    checks.append(_check("pauli_rotation_vs_conjugation", rotation_dev, 1e-10))
-    checks.append(_check("sigma_z_conservation", sigma_z_dev, 1e-12))
 
-    quads = qubit.quadratures(params)
+def _pauli_rotation_vs_conjugation(_rng) -> float:
+    h, base = qubit.hamiltonian(_PARAMS), qubit.pauli_set(_PARAMS)
+    dev = 0.0
+    for wt in _PHASES:
+        t = wt / _PARAMS.omega
+        evolved = qubit.pauli_evolved(_PARAMS, t)
+        for op, want in ((base.sigma_x, evolved.sigma_x), (base.sigma_y, evolved.sigma_y)):
+            dev = max(dev, np.max(np.abs(heisenberg_conjugate(op, h, t) - want)))
+    return dev
+
+
+def _sigma_z_conservation(_rng) -> float:
+    h, sigma_z = qubit.hamiltonian(_PARAMS), qubit.pauli_set(_PARAMS).sigma_z
+    conjugated = (heisenberg_conjugate(sigma_z, h, wt / _PARAMS.omega) for wt in _PHASES)
+    return max(0.0, *(np.max(np.abs(z - sigma_z)) for z in conjugated))
+
+
+def _hamilton_derivative_vs_commutator(_rng) -> float:
+    quads = qubit.quadratures(_PARAMS)
     derivative = qubit.operator_derivative(
-        lambda q: qubit.quadrature_hamiltonian(q, params.omega), quads, "p_x"
+        lambda q: qubit.quadrature_hamiltonian(q, _PARAMS.omega), quads, "p_x"
     )
-    checks.append(
-        _check(
-            "hamilton_derivative_vs_commutator",
-            np.max(np.abs(derivative - 1j * commutator(h_qubit, quads.x))),
-            1e-8,
-        )
-    )
+    return np.max(np.abs(derivative - 1j * commutator(qubit.hamiltonian(_PARAMS), quads.x)))
 
-    small = qubit.QubitModelParams(omega=1.0, cutoff=3)
-    t_final = (math.pi / 4.0) / small.omega
-    theta = small.omega * t_final / 2.0
-    start = qubit.quadratures(small)
+
+def _leapfrog_error(n_steps: int) -> float:
+    t_final = (math.pi / 4.0) / _SMALL.omega
+    theta = _SMALL.omega * t_final / 2.0
+    start = qubit.quadratures(_SMALL)
     exact_x = math.cos(theta) * start.x + math.sin(theta) * start.p_x
+    res = qubit.integrate_quadratures(_SMALL, t_final, n_steps, record_stride=n_steps)
+    final = qubit.evolved_quadratures(_SMALL, res.coefficients[-1])
+    return float(np.max(np.abs(final.x - exact_x)))
 
-    def leapfrog_error(n_steps: int) -> float:
-        res = qubit.integrate_quadratures(small, t_final, n_steps, record_stride=n_steps)
-        final = qubit.evolved_quadratures(small, res.coefficients[-1])
-        return float(np.max(np.abs(final.x - exact_x)))
 
-    checks.append(_check("leapfrog_vs_exact_rotation", leapfrog_error(10_000), 1e-6))
-    ratio = leapfrog_error(100) / leapfrog_error(200)
-    checks.append(_check("leapfrog_convergence_order", abs(ratio - 4.0), 0.3))
+def _leapfrog_vs_exact_rotation(_rng) -> float:
+    return _leapfrog_error(10_000)
 
-    plus, minus = qubit.plus_state(params).data, qubit.minus_state(params).data
-    checks.append(
-        _check(
-            "amplitude_variation_residual",
-            amplitude_variation_check(plus, minus, h_qubit, 0.0, 0.7, 1e-4),
-            1e-8,
-        )
-    )
-    residuals = [
-        amplitude_variation_check(plus, minus, h_qubit, 0.0, 0.7, e)
-        for e in (1e-3, 5e-4, 2.5e-4)
-    ]
-    scaling_dev = max(
-        abs(residuals[0] / residuals[1] - 4.0), abs(residuals[1] / residuals[2] - 4.0)
-    )
-    checks.append(_check("amplitude_variation_quadratic_scaling", scaling_dev, 0.3))
 
-    # Algebra invariants.
+def _leapfrog_convergence_order(_rng) -> float:
+    return abs(_leapfrog_error(100) / _leapfrog_error(200) - 4.0)
+
+
+def _amplitude_variation_residual(_rng) -> float:
+    plus, minus = qubit.plus_state(_PARAMS).data, qubit.minus_state(_PARAMS).data
+    return amplitude_variation_check(plus, minus, qubit.hamiltonian(_PARAMS), 0.0, 0.7, 1e-4)
+
+
+def _amplitude_variation_quadratic_scaling(_rng) -> float:
+    plus, minus = qubit.plus_state(_PARAMS).data, qubit.minus_state(_PARAMS).data
+    h = qubit.hamiltonian(_PARAMS)
+    residuals = [amplitude_variation_check(plus, minus, h, 0.0, 0.7, e) for e in (1e-3, 5e-4, 2.5e-4)]
+    return max(abs(residuals[0] / residuals[1] - 4.0), abs(residuals[1] / residuals[2] - 4.0))
+
+
+# Algebra invariants.
+def _coherent_occupation(_rng) -> float:
     space30 = FockSpace(30)
     n30 = number_op(space30)
-    dev = max(
+    return max(
         abs(expectation(coherent_state(space30, alpha), n30).real - abs(alpha) ** 2)
         for alpha in (0.25, 0.5j, 0.6 + 0.8j, 1.0)
     )
-    checks.append(_check("coherent_occupation", dev, 1e-10))
 
+
+def _canonical_commutator_cutoff_corner(_rng) -> float:
     space4 = FockSpace(4)
-    a4 = annihilation_op(space4)
     expected = np.diag([1.0, 1.0, 1.0, 1.0 - 4.0]).astype(complex)
-    checks.append(
-        _check(
-            "canonical_commutator_cutoff_corner",
-            np.max(np.abs(commutator(a4, creation_op(space4)) - expected)),
-            1e-12,
-        )
-    )
+    return np.max(np.abs(commutator(annihilation_op(space4), creation_op(space4)) - expected))
 
+
+def _distinct_mode_commutation(_rng) -> float:
     two_modes = FockSpace(4, 2)
-    checks.append(
-        _check(
-            "distinct_mode_commutation",
-            np.max(
-                np.abs(
-                    commutator(
-                        annihilation_op(two_modes, 0), creation_op(two_modes, 1)
-                    )
-                )
-            ),
-            0.0,
-        )
-    )
+    return np.max(np.abs(commutator(annihilation_op(two_modes, 0), creation_op(two_modes, 1))))
 
+
+def _fermionic_car_exactness(_rng) -> float:
     ops, _ = fermionic_mode_ops(2)
-    car_dev = max(
+    return max(
         np.max(np.abs(anticommutator(ops[0], dagger(ops[0])) - np.eye(4))),
         np.max(np.abs(anticommutator(ops[1], dagger(ops[1])) - np.eye(4))),
         np.max(np.abs(anticommutator(ops[0], dagger(ops[1])))),
         np.max(np.abs(anticommutator(ops[0], ops[1]))),
         np.max(np.abs(anticommutator(ops[0], ops[0]))),
     )
-    checks.append(_check("fermionic_car_exactness", car_dev, 0.0))
 
-    return checks
+
+# The registered checks, (name, tolerance, check) in report order. A check takes the
+# suite's generator and returns its deviation. Append a new check's row, so the first
+# two rows' draws from the generator, and every earlier report row, stay as they are.
+CHECKS = (
+    ("oracle_unitarity", 1e-12, _oracle_unitarity),
+    ("picture_equivalence", 1e-10, _picture_equivalence),
+    ("fringe_heisenberg_vs_slit_modes", 1e-10, _fringe_heisenberg_vs_slit_modes),
+    ("fermionic_vs_bosonic_fringe", 1e-10, _fermionic_vs_bosonic_fringe),
+    ("exact_fringe_vs_intensity_pipeline", 1e-12, _exact_fringe_vs_intensity_pipeline),
+    ("transition_probability_vs_schrodinger", 1e-10, _transition_probability_vs_schrodinger),
+    ("pauli_rotation_vs_conjugation", 1e-10, _pauli_rotation_vs_conjugation),
+    ("sigma_z_conservation", 1e-12, _sigma_z_conservation),
+    ("hamilton_derivative_vs_commutator", 1e-8, _hamilton_derivative_vs_commutator),
+    ("leapfrog_vs_exact_rotation", 1e-6, _leapfrog_vs_exact_rotation),
+    ("leapfrog_convergence_order", 0.3, _leapfrog_convergence_order),
+    ("amplitude_variation_residual", 1e-8, _amplitude_variation_residual),
+    ("amplitude_variation_quadratic_scaling", 0.3, _amplitude_variation_quadratic_scaling),
+    ("coherent_occupation", 1e-10, _coherent_occupation),
+    ("canonical_commutator_cutoff_corner", 1e-12, _canonical_commutator_cutoff_corner),
+    ("distinct_mode_commutation", 0.0, _distinct_mode_commutation),
+    ("fermionic_car_exactness", 0.0, _fermionic_car_exactness),
+)
+
+
+def run_verification_suite() -> list[VerificationCheck]:
+    """Run every check in `CHECKS`, in table order, on one generator seeded once."""
+    rng = np.random.default_rng(_SUITE_SEED)
+    return [_check(name, check(rng), tolerance) for name, tolerance, check in CHECKS]

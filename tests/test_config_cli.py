@@ -733,6 +733,20 @@ def test_cli_rejects_seed_option(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [{"experiment": "qubit", "scan": {"t_max": 6.0, "n_points": 11}}, {"experiment": "verify"}],
+    ids=["qubit", "verify"],
+)
+def test_cli_rejects_far_field_outside_fringe_and_compare(tmp_path, monkeypatch, capsys, payload):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", write_config(tmp_path, payload), "--far-field"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: far-field mode applies to the fringe and compare experiments\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run_config.json"]
+
+
 def test_run_rejects_far_field_with_many_slits(tmp_path):
     payload = {
         "experiment": "fringe",

@@ -31,16 +31,21 @@ def _with(base, section, **fields):
     return dict(base, **{section: {k: v for k, v in merged.items() if v is not None}})
 
 
+def _text(payload):
+    """The config text of `payload`; a str is taken as written, since a dict cannot repeat a key."""
+    return payload if isinstance(payload, str) else json.dumps(payload)
+
+
 def _rejected_field(payload):
     with pytest.raises(ConfigError) as excinfo:
-        parse_config(json.dumps(payload))
+        parse_config(_text(payload))
     return excinfo.value.field
 
 
 def _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, payload):
     """Run the CLI on `payload`: exit 2, one stderr line, nothing written; returns the line."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "run_config.json").write_text(json.dumps(payload))
+    (tmp_path / "run_config.json").write_text(_text(payload))
     assert main(["--config", "run_config.json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -56,6 +61,11 @@ BAD_CONFIGS = [
     ("no_experiment", {}, "experiment"),
     ("unknown_experiment", {"experiment": "interferometry"}, "experiment"),
     ("unknown_top_key", dict(FRINGE, geometri={}), "geometri"),
+    # a repeated key would silently replace the first value
+    ("duplicate_experiment", '{"experiment": "fringe", "experiment": "qubit", "scan": {"t_max": 6.0, "n_points": 11}}', "experiment"),
+    ("duplicate_section", json.dumps(FRINGE)[:-1] + ', "scan": {"x_min": 0.0, "x_max": 0.01, "n_points": 5}}', "scan"),
+    ("duplicate_nested_key", json.dumps(FRINGE).replace('"screen_z"', '"slits": [0.0, 1e-5], "screen_z"'), "slits"),
+    ("verify_duplicate_nested_key", '{"experiment": "verify", "qubit": {"omega": 1.0, "omega": 2.0}}', "omega"),
     # geometry
     ("no_geometry", {k: v for k, v in FRINGE.items() if k != "geometry"}, "geometry"),
     ("geometry_not_object", dict(FRINGE, geometry=[1.0]), "geometry"),
@@ -132,7 +142,7 @@ BAD_CONFIGS = [
 )
 def test_bad_config_names_its_field_and_exits_2(tmp_path, monkeypatch, capsys, payload, field):
     with pytest.raises(ConfigError) as excinfo:
-        parse_config(json.dumps(payload))
+        parse_config(_text(payload))
     assert excinfo.value.field == field
     assert "\n" not in str(excinfo.value)
     _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, payload)

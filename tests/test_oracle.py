@@ -27,7 +27,8 @@ from qfringe import (
     unitary_evolution,
     wavenumber,
 )
-from qfringe.oracle import _expm, heisenberg_conjugate
+from qfringe import oracle
+from qfringe.oracle import _expm, heisenberg_conjugate, random_hermitian, random_pure
 
 
 def canonical_geometry():
@@ -37,16 +38,6 @@ def canonical_geometry():
         screen_z=1.0,
         k=wavenumber(500e-9),
     )
-
-
-def random_hermitian(rng, dim):
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (m + m.conj().T) / 2.0
-
-
-def random_pure(rng, dim):
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return QuantumState("pure", v / np.linalg.norm(v))
 
 
 def test_evolution_with_zero_hamiltonian_is_identity():
@@ -289,7 +280,7 @@ def test_verification_suite_all_pass():
     checks = run_verification_suite()
     names = [c.check for c in checks]
     assert len(names) == len(set(names))
-    assert len(checks) >= 15
+    assert len(checks) == len(oracle.CHECKS)
     for check in checks:
         assert check.passed, f"{check.check}: {check.max_deviation} > {check.tolerance}"
     differential = [
@@ -301,3 +292,37 @@ def test_verification_suite_all_pass():
     for name in differential:
         assert name in names
         assert next(c for c in checks if c.check == name).tolerance <= 1e-10
+
+
+# The rows of the verify report that VERIFY_OUTPUT_DIGESTS in test_config_cli.py pins.
+PINNED_REPORT_CHECKS = [
+    "oracle_unitarity",
+    "picture_equivalence",
+    "fringe_heisenberg_vs_slit_modes",
+    "fermionic_vs_bosonic_fringe",
+    "exact_fringe_vs_intensity_pipeline",
+    "transition_probability_vs_schrodinger",
+    "pauli_rotation_vs_conjugation",
+    "sigma_z_conservation",
+    "hamilton_derivative_vs_commutator",
+    "leapfrog_vs_exact_rotation",
+    "leapfrog_convergence_order",
+    "amplitude_variation_residual",
+    "amplitude_variation_quadratic_scaling",
+    "coherent_occupation",
+    "canonical_commutator_cutoff_corner",
+    "distinct_mode_commutation",
+    "fermionic_car_exactness",
+]
+
+
+def test_check_registry_is_the_pinned_report_in_order():
+    assert [name for name, _, _ in oracle.CHECKS] == PINNED_REPORT_CHECKS
+
+
+@pytest.mark.parametrize(
+    "name, tolerance, check", oracle.CHECKS, ids=[name for name, _, _ in oracle.CHECKS]
+)
+def test_registered_check_passes_alone(name, tolerance, check):
+    deviation = float(check(np.random.default_rng(oracle._SUITE_SEED)))
+    assert deviation <= tolerance, f"{name}: {deviation} > {tolerance}"
