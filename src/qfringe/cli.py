@@ -10,7 +10,7 @@ import argparse
 import gc
 import sys
 
-from .config import ConfigError, apply_overrides, load_config
+from .config import ConfigError, load_config
 from .diffraction import DegenerateGeometryError
 from .runner import run
 
@@ -37,21 +37,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        config = apply_overrides(
-            config,
-            output_path=args.output,
-            output_format=args.format,
-            far_field=args.far_field,
+        config = load_config(
+            args.config, output_path=args.output, output_format=args.format, far_field=args.far_field
         )
+        code = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        code = run(config)
     except DegenerateGeometryError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 4

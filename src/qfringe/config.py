@@ -1,39 +1,49 @@
 """Strict JSON run configuration: each section is type-checked, then built.
 
-Config builds the objects the run consumes: `geometry` becomes a
-`SlitGeometry`, `source_state` a `QuantumState` and `qubit` a
-`QubitModelParams`. Their constructors enforce their own ranges, and a
-`ValueError` from one becomes a `ConfigError` naming the field. Config adds
-only CLI policy: the size caps below, the finite-phase check, the 2-slit rule
-of compare and far-field mode, far-field mode's limit to fringe and compare,
-and the scan checks (`ScanSpec` and `OutputSpec` have no library counterpart).
+Config builds the objects the run consumes, and only those: an experiment
+reads `output` and the sections `_READS` names, and any other is an error.
+`geometry` becomes a `SlitGeometry`, `source_state` a `QuantumState` and
+`qubit` a `QubitModelParams`. Their constructors enforce their own ranges,
+and a `ValueError` from one becomes a `ConfigError` naming the field. Config
+adds only CLI policy: the size caps below, the finite-phase check, the 2-slit
+rule of compare and far-field mode, far-field mode's limit to the screen
+experiments, and the scan checks (`ScanSpec` and `OutputSpec` have no library
+counterpart). The CLI's --output, --format and --far-field are inputs here.
 
 Unknown keys (with a nearest-key hint when one is a single edit away) and
 repeated keys are rejected; every quantity is in SI units with no unit
 strings. Documented defaults: source at (0, -1) m, single-photon source state
-with cutoff 16, qubit omega 1.0 with per-mode cutoff 8, csv output named
-after the experiment.
+with cutoff 16, qubit omega 1.0 with per-mode cutoff 8, csv output at
+`<experiment>.<format>`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .diffraction import SlitGeometry, wavenumber
 from .fock import FockSpace, QuantumState, coherent_state, fock_state, thermal_state
 from .qubit import QubitModelParams
 
-EXPERIMENTS = ("fringe", "qubit", "verify", "compare")
-_SCREEN_EXPERIMENTS = ("fringe", "compare")
+# The sections each experiment reads besides output; the screen experiments read geometry.
+_READS = {
+    "fringe": ("geometry", "scan", "source_state"),
+    "qubit": ("scan", "qubit"),
+    "verify": (),
+    "compare": ("geometry", "scan"),
+}
+EXPERIMENTS = tuple(_READS)
 
-_TOP_KEYS = ("experiment", "geometry", "source_state", "scan", "qubit", "output")
-_GEOMETRY_KEYS = ("source", "slits", "screen_z", "wavelength", "k")
-_SOURCE_STATE_KEYS = ("fock", "coherent", "thermal", "cutoff")
-_SCAN_KEYS = ("x_min", "x_max", "t_max", "n_points")
-_QUBIT_KEYS = ("omega", "cutoff")
-_OUTPUT_KEYS = ("path", "format")
+_SECTION_KEYS = {
+    "geometry": ("source", "slits", "screen_z", "wavelength", "k"),
+    "source_state": ("fock", "coherent", "thermal", "cutoff"),
+    "scan": ("x_min", "x_max", "t_max", "n_points"),
+    "qubit": ("omega", "cutoff"),
+    "output": ("path", "format"),
+}
+_TOP_KEYS = ("experiment", *_SECTION_KEYS)
 
 DEFAULT_SOURCE = (0.0, -1.0)
 DEFAULT_SOURCE_STATE = {"fock": 1}
@@ -86,9 +96,9 @@ class OutputSpec:
 class RunConfig:
     experiment: str
     geometry: SlitGeometry | None
-    source_state: QuantumState
+    source_state: QuantumState | None
     scan: ScanSpec | None
-    qubit: QubitModelParams
+    qubit: QubitModelParams | None
     output: OutputSpec
     far_field: bool = False
 
@@ -202,11 +212,10 @@ def _field(section: dict, ctx: str, key: str, read, default=_REQUIRED):
     return read(section[key], name)
 
 
-def _section(raw: dict, name: str, keys: tuple[str, ...], required: bool) -> dict | None:
-    """The object under `name` with its keys checked; None when it is absent and optional."""
-    section = _field(raw, "", name, _read_mapping, _REQUIRED if required else None)
-    if section is not None:
-        _check_keys(section, keys, name)
+def _section(raw: dict, name: str, default=_REQUIRED) -> dict:
+    """The object under `name` with its keys checked; an absent one gives `default`, or fails."""
+    section = _field(raw, "", name, _read_mapping, default)
+    _check_keys(section, _SECTION_KEYS[name], name)
     return section
 
 
@@ -256,12 +265,12 @@ def _parse_source_state(raw: dict) -> QuantumState:
     return _build(f"source_state.{kinds[0]}", build, space, _field(raw, "source_state", kinds[0], read))
 
 
-def _parse_scan(raw: dict, experiment: str, slit_count: int) -> ScanSpec:
+def _parse_scan(raw: dict, experiment: str, geometry: SlitGeometry | None) -> ScanSpec:
     n_points = _field(raw, "scan", "n_points", _read_int)
-    max_points = max_scan_points(slit_count)
+    max_points = max_scan_points(0 if geometry is None else geometry.slit_count)
     if not 2 <= n_points <= max_points:
         raise ConfigError(f"scan.n_points must lie in [2, {max_points}]", field="scan.n_points")
-    if experiment in _SCREEN_EXPERIMENTS:
+    if geometry is not None:
         if "t_max" in raw:
             raise ConfigError(
                 f"scan.t_max does not apply to the {experiment} experiment", field="scan.t_max"
@@ -287,15 +296,25 @@ def _parse_qubit(raw: dict) -> QubitModelParams:
     return QubitModelParams(omega=omega, cutoff=cutoff)
 
 
-def _parse_output(raw: dict, experiment: str) -> OutputSpec:
+def _parse_output(raw: dict, experiment: str, path: str | None, fmt: str | None) -> OutputSpec:
+    """The output section under --output `path` and --format `fmt`; a path it sets is kept."""
+    read_format = _read_choice(("csv", "json"))
     default_format = "json" if experiment == "verify" else DEFAULT_FORMAT
-    fmt = _field(raw, "output", "format", _read_choice(("csv", "json")), default_format)
-    path = _field(raw, "output", "path", _read_path, f"{experiment}.{fmt}")
+    section_format = _field(raw, "output", "format", read_format, default_format)
+    section_path = _field(raw, "output", "path", _read_path, None)
+    fmt = section_format if fmt is None else read_format(fmt, "output_format")
+    if path is None:
+        path = section_path or f"{experiment}.{fmt}"
     return OutputSpec(path=path, format=fmt)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a JSON run configuration and build the objects the run uses."""
+def parse_config(
+    text: str, output_path: str | None = None, output_format: str | None = None, far_field: bool = False
+) -> RunConfig:
+    """Parse a JSON run configuration and build the objects the run uses.
+
+    The keyword parameters are the CLI's --output, --format and --far-field.
+    """
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -307,59 +326,39 @@ def parse_config(text: str) -> RunConfig:
     raw = _read_mapping(raw, "config")
     _check_keys(raw, _TOP_KEYS, "")
     experiment = _field(raw, "", "experiment", _read_choice(EXPERIMENTS))
-    screen = experiment in _SCREEN_EXPERIMENTS
+    reads = _READS[experiment]
+    for name in raw:
+        if name not in ("experiment", "output", *reads):
+            raise ConfigError(f"{name} does not apply to the {experiment} experiment", field=name)
 
-    geometry = _section(raw, "geometry", _GEOMETRY_KEYS, required=screen)
-    geometry = None if geometry is None else _parse_geometry(geometry)
-    if experiment == "compare" and geometry.slit_count != 2:
-        raise ConfigError("compare requires exactly 2 slits", field="geometry.slits")
-    scan = None
-    if experiment != "verify":
-        scan_slits = geometry.slit_count if screen else 0
-        scan = _parse_scan(_section(raw, "scan", _SCAN_KEYS, required=True), experiment, scan_slits)
-    source_state = _section(raw, "source_state", _SOURCE_STATE_KEYS, required=False)
-    source_state = _parse_source_state(DEFAULT_SOURCE_STATE if source_state is None else source_state)
-    qubit = _parse_qubit(_section(raw, "qubit", _QUBIT_KEYS, required=False) or {})
-    if experiment == "qubit" and not math.isfinite(qubit.omega * scan.t_max):
-        raise ConfigError("qubit.omega * scan.t_max must be a finite phase", field="scan.t_max")
-    output = _parse_output(_section(raw, "output", _OUTPUT_KEYS, required=False) or {}, experiment)
-    return RunConfig(
-        experiment=experiment,
-        geometry=geometry,
-        source_state=source_state,
-        scan=scan,
-        qubit=qubit,
-        output=output,
-    )
+    geometry = source_state = scan = qubit = None
+    if "geometry" in reads:
+        geometry = _parse_geometry(_section(raw, "geometry"))
+        if experiment == "compare" and geometry.slit_count != 2:
+            raise ConfigError("compare requires exactly 2 slits", field="geometry.slits")
+    if "scan" in reads:
+        scan = _parse_scan(_section(raw, "scan"), experiment, geometry)
+    if "source_state" in reads:
+        source_state = _parse_source_state(_section(raw, "source_state", DEFAULT_SOURCE_STATE))
+    if "qubit" in reads:
+        qubit = _parse_qubit(_section(raw, "qubit", {}))
+        if not math.isfinite(qubit.omega * scan.t_max):
+            raise ConfigError("qubit.omega * scan.t_max must be a finite phase", field="scan.t_max")
+    output = _parse_output(_section(raw, "output", {}), experiment, output_path, output_format)
+    if far_field and geometry is None:
+        raise ConfigError(
+            "far-field mode applies to the fringe and compare experiments", field="experiment"
+        )
+    if far_field and geometry.slit_count != 2:
+        raise ConfigError("far-field mode requires exactly 2 slits", field="geometry.slits")
+    return RunConfig(experiment, geometry, source_state, scan, qubit, output, far_field)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, **overrides) -> RunConfig:
+    """Read and parse the config file at `path`; `overrides` go to `parse_config`."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file is not valid UTF-8: {exc.reason}") from exc
-    return parse_config(text)
-
-
-def apply_overrides(
-    config: RunConfig,
-    output_path: str | None = None,
-    output_format: str | None = None,
-    far_field: bool = False,
-) -> RunConfig:
-    output = config.output
-    if output_format is not None and output_format != output.format:
-        default_path = f"{config.experiment}.{output.format}"
-        path = output.path if output.path != default_path else f"{config.experiment}.{output_format}"
-        output = OutputSpec(path=path, format=output_format)
-    if output_path is not None:
-        output = OutputSpec(path=output_path, format=output.format)
-    far = config.far_field or far_field
-    if far and config.experiment not in _SCREEN_EXPERIMENTS:
-        raise ConfigError(
-            "far-field mode applies to the fringe and compare experiments", field="experiment"
-        )
-    if far and config.geometry.slit_count != 2:
-        raise ConfigError("far-field mode requires exactly 2 slits", field="geometry.slits")
-    return replace(config, output=output, far_field=far)
+    return parse_config(text, **overrides)

@@ -71,10 +71,7 @@ def _embed(op: np.ndarray, space: FockSpace, mode: int) -> np.ndarray:
     if not 0 <= mode < space.mode_count:
         raise ValueError(f"mode {mode} out of range for {space.mode_count} modes")
     eye = np.eye(space.cutoff, dtype=complex)
-    out = np.eye(1, dtype=complex)
-    for j in range(space.mode_count):
-        out = np.kron(out, op if j == mode else eye)
-    return out
+    return tensor_product(*(op if j == mode else eye for j in range(space.mode_count)))
 
 
 def annihilation_op(space: FockSpace, mode: int = 0) -> np.ndarray:
@@ -214,14 +211,17 @@ def coherent_state(space: FockSpace, alpha: complex) -> QuantumState:
         raise ValueError("coherent_state is defined for a single mode")
     alpha = complex(alpha)
     amps = np.zeros(space.cutoff, dtype=complex)
-    term = complex(math.exp(-abs(alpha) ** 2 / 2.0))
+    try:
+        term = complex(math.exp(-abs(alpha) ** 2 / 2.0))
+    except OverflowError:  # |alpha| or its square beyond the float range, where exp() gives 0
+        term = 0j
     amps[0] = term
     for n in range(1, space.cutoff):
         term = term * alpha / math.sqrt(n)
         amps[n] = term
     kept = float(np.vdot(amps, amps).real)
     if kept <= 0.0:
-        raise ValueError(f"|alpha| = {abs(alpha):g} is too large: the kept weight underflows to 0")
+        raise ValueError(f"alpha = {alpha:g} is too large: the kept weight underflows to 0")
     lost = max(0.0, 1.0 - kept)
     return QuantumState("pure", amps / math.sqrt(kept), lost_weight=lost)
 

@@ -237,12 +237,12 @@ def _oracle_unitarity(rng: np.random.Generator) -> float:
 
 
 def _picture_equivalence(rng: np.random.Generator) -> float:
-    dev = 0.0
+    deviations = []
     for _ in range(4):
         h4 = random_hermitian(rng, 4)
         op4 = random_hermitian(rng, 4)
-        dev = max(dev, picture_equivalence_check(op4, random_pure(rng, 4), h4, 1.3))
-    return dev
+        deviations.append(picture_equivalence_check(op4, random_pure(rng, 4), h4, 1.3))
+    return np.max(deviations)
 
 
 # Interference pipelines against the slit-mode model.
@@ -269,19 +269,19 @@ def _transition_probability_vs_schrodinger(_rng) -> float:
 
 def _pauli_rotation_vs_conjugation(_rng) -> float:
     h, base = qubit.hamiltonian(_PARAMS), qubit.pauli_set(_PARAMS)
-    dev = 0.0
+    deviations = []
     for wt in _PHASES:
         t = wt / _PARAMS.omega
         evolved = qubit.pauli_evolved(_PARAMS, t)
         for op, want in ((base.sigma_x, evolved.sigma_x), (base.sigma_y, evolved.sigma_y)):
-            dev = max(dev, np.max(np.abs(heisenberg_conjugate(op, h, t) - want)))
-    return dev
+            deviations.append(np.max(np.abs(heisenberg_conjugate(op, h, t) - want)))
+    return np.max(deviations)
 
 
 def _sigma_z_conservation(_rng) -> float:
     h, sigma_z = qubit.hamiltonian(_PARAMS), qubit.pauli_set(_PARAMS).sigma_z
     conjugated = (heisenberg_conjugate(sigma_z, h, wt / _PARAMS.omega) for wt in _PHASES)
-    return max(0.0, *(np.max(np.abs(z - sigma_z)) for z in conjugated))
+    return np.max([np.max(np.abs(z - sigma_z)) for z in conjugated])
 
 
 def _hamilton_derivative_vs_commutator(_rng) -> float:
@@ -319,17 +319,17 @@ def _amplitude_variation_quadratic_scaling(_rng) -> float:
     plus, minus = qubit.plus_state(_PARAMS).data, qubit.minus_state(_PARAMS).data
     h = qubit.hamiltonian(_PARAMS)
     residuals = [amplitude_variation_check(plus, minus, h, 0.0, 0.7, e) for e in (1e-3, 5e-4, 2.5e-4)]
-    return max(abs(residuals[0] / residuals[1] - 4.0), abs(residuals[1] / residuals[2] - 4.0))
+    return np.max([abs(residuals[0] / residuals[1] - 4.0), abs(residuals[1] / residuals[2] - 4.0)])
 
 
 # Algebra invariants.
 def _coherent_occupation(_rng) -> float:
     space30 = FockSpace(30)
     n30 = number_op(space30)
-    return max(
+    return np.max([
         abs(expectation(coherent_state(space30, alpha), n30).real - abs(alpha) ** 2)
         for alpha in (0.25, 0.5j, 0.6 + 0.8j, 1.0)
-    )
+    ])
 
 
 def _canonical_commutator_cutoff_corner(_rng) -> float:
@@ -345,13 +345,13 @@ def _distinct_mode_commutation(_rng) -> float:
 
 def _fermionic_car_exactness(_rng) -> float:
     ops, _ = fermionic_mode_ops(2)
-    return max(
+    return np.max([
         np.max(np.abs(anticommutator(ops[0], dagger(ops[0])) - np.eye(4))),
         np.max(np.abs(anticommutator(ops[1], dagger(ops[1])) - np.eye(4))),
         np.max(np.abs(anticommutator(ops[0], dagger(ops[1])))),
         np.max(np.abs(anticommutator(ops[0], ops[1]))),
         np.max(np.abs(anticommutator(ops[0], ops[0]))),
-    )
+    ])
 
 
 # The registered checks, (name, tolerance, check) in report order. A check takes the

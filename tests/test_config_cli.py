@@ -15,7 +15,7 @@ import pytest
 import qfringe
 from qfringe import ConfigError, cli, parse_config, runner
 from qfringe.cli import main
-from qfringe.config import MAX_QUBIT_CUTOFF, MEMORY_BUDGET_BYTES, apply_overrides, load_config
+from qfringe.config import MAX_QUBIT_CUTOFF, MEMORY_BUDGET_BYTES, load_config
 from qfringe.fock import FockSpace, coherent_state, fock_state, thermal_state
 from qfringe.runner import run
 
@@ -49,8 +49,7 @@ def test_minimal_fringe_config_round_trip():
     assert config.geometry.k == pytest.approx(2.0 * math.pi / 500e-9)
     assert config.geometry.source == (0.0, -1.0)
     assert np.array_equal(config.source_state.data, fock_state(FockSpace(16), 1).data)
-    assert config.qubit.omega == 1.0
-    assert config.qubit.cutoff == 8
+    assert config.qubit is None
     assert config.output.format == "csv"
     assert config.output.path == "fringe.csv"
 
@@ -158,11 +157,18 @@ def test_compare_requires_two_slits():
 
 
 def test_override_format_renames_default_path():
-    config = parse_config(json.dumps(MINIMAL_FRINGE))
-    overridden = apply_overrides(config, output_format="json")
+    text = json.dumps(MINIMAL_FRINGE)
+    overridden = parse_config(text, output_format="json")
     assert overridden.output.path == "fringe.json"
-    explicit = apply_overrides(config, output_path="custom.out", output_format="json")
+    explicit = parse_config(text, output_path="custom.out", output_format="json")
     assert explicit.output.path == "custom.out"
+
+
+def test_override_format_keeps_an_explicit_path():
+    # A path the config sets is kept, even when it reads like the default one.
+    text = json.dumps(dict(MINIMAL_FRINGE, output={"path": "fringe.csv"}))
+    config = parse_config(text, output_format="json")
+    assert (config.output.path, config.output.format) == ("fringe.csv", "json")
 
 
 def test_cli_fringe_run_rows(tmp_path):
@@ -753,10 +759,10 @@ def test_run_rejects_far_field_with_many_slits(tmp_path):
         "geometry": {"slits": [-1e-5, 0.0, 1e-5], "screen_z": 1.0, "wavelength": 500e-9},
         "scan": {"x_min": -0.01, "x_max": 0.01, "n_points": 5},
     }
-    config = load_config(write_config(tmp_path, payload))
+    config_path = write_config(tmp_path, payload)
     with pytest.raises(ConfigError):
-        apply_overrides(config, far_field=True)
+        load_config(config_path, far_field=True)
     out = tmp_path / "triple.csv"
-    config = apply_overrides(config, output_path=str(out))
+    config = load_config(config_path, output_path=str(out))
     assert run(config) == 0
     assert len(out.read_text().strip().split("\n")) == 6

@@ -1,11 +1,17 @@
 """Bad run configurations name the field at fault and exit 2; sizes are capped by memory."""
 
+import importlib.util
 import json
+import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfringe import ConfigError, FockSpace, parse_config, run, thermal_state
+from qfringe import ConfigError, FockSpace, RunConfig, parse_config, run, thermal_state
 from qfringe.cli import main
 from qfringe.config import (
     MAX_SOURCE_CUTOFF,
@@ -116,6 +122,8 @@ BAD_CONFIGS = [
     ("coherent_triple", dict(FRINGE, source_state={"coherent": [1.0, 2.0, 3.0]}), "source_state.coherent"),
     ("coherent_part_string", dict(FRINGE, source_state={"coherent": ["a", 0.0]}), "source_state.coherent[0]"),
     ("coherent_underflow", dict(FRINGE, source_state={"coherent": 40.0}), "source_state.coherent"),
+    ("coherent_square_overflows", dict(FRINGE, source_state={"coherent": 1e200}), "source_state.coherent"),
+    ("coherent_pair_square_overflows", dict(FRINGE, source_state={"coherent": [0, 1e160]}), "source_state.coherent"),
     ("unknown_source_key", dict(FRINGE, source_state={"foc": 1}), "source_state.foc"),
     # qubit
     ("qubit_not_object", dict(QUBIT, qubit=[1.0]), "qubit"),
@@ -128,12 +136,18 @@ BAD_CONFIGS = [
     ("output_not_object", dict(FRINGE, output="out.csv"), "output"),
     ("output_format", dict(FRINGE, output={"format": "xml"}), "output.format"),
     ("output_path_empty", dict(FRINGE, output={"path": ""}), "output.path"),
-    # verify reads no geometry or source state, but still validates them
-    ("verify_fock_beyond_cutoff", dict(VERIFY, source_state={"fock": 99}), "source_state.fock"),
-    ("verify_thermal_negative", dict(VERIFY, source_state={"thermal": -1.0}), "source_state.thermal"),
-    ("verify_cutoff_one", dict(VERIFY, source_state={"fock": 0, "cutoff": 1}), "source_state.cutoff"),
-    ("verify_no_slits", dict(VERIFY, geometry={"screen_z": 1.0, "wavelength": 5e-7}), "geometry.slits"),
-    ("verify_wavelength_negative", dict(VERIFY, geometry=dict(GEOMETRY, wavelength=-1.0)), "geometry.wavelength"),
+    # a section the experiment does not read is rejected, whatever it holds
+    ("verify_fock_beyond_cutoff", dict(VERIFY, source_state={"fock": 99}), "source_state"),
+    ("verify_thermal_negative", dict(VERIFY, source_state={"thermal": -1.0}), "source_state"),
+    ("verify_cutoff_one", dict(VERIFY, source_state={"fock": 0, "cutoff": 1}), "source_state"),
+    ("verify_no_slits", dict(VERIFY, geometry={"screen_z": 1.0, "wavelength": 5e-7}), "geometry"),
+    ("verify_wavelength_negative", dict(VERIFY, geometry=dict(GEOMETRY, wavelength=-1.0)), "geometry"),
+    ("verify_scan", dict(VERIFY, scan=QUBIT["scan"]), "scan"),
+    ("compare_source_state", dict(FRINGE, experiment="compare", source_state={"fock": 1}), "source_state"),
+    ("compare_qubit", dict(FRINGE, experiment="compare", qubit={"omega": 1.0}), "qubit"),
+    ("qubit_geometry", dict(QUBIT, geometry=GEOMETRY), "geometry"),
+    ("qubit_source_state", dict(QUBIT, source_state={"fock": 1}), "source_state"),
+    ("fringe_qubit", dict(FRINGE, qubit={"cutoff": 8}), "qubit"),
 ]
 
 
@@ -148,18 +162,90 @@ def test_bad_config_names_its_field_and_exits_2(tmp_path, monkeypatch, capsys, p
     _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, payload)
 
 
+def test_section_the_experiment_does_not_read_is_named(tmp_path, monkeypatch, capsys):
+    # compare reads no source state, so none is built: not even this 214 MB thermal rho.
+    source_state = {"thermal": 0.7, "cutoff": MAX_SOURCE_CUTOFF}
+    payload = dict(FRINGE, experiment="compare", source_state=source_state)
+    err = _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, payload)
+    assert err == "config error: source_state does not apply to the compare experiment\n"
+
+
+# Values at the edges of each JSON type. Integers stay small or far beyond every
+# size cap, so no accepted config builds a large array.
+_SCALARS = (
+    st.floats(),
+    st.sampled_from([math.nan, -math.inf, 1.7976931348623157e308, 1e200, -1e160, 1e155, 5e-324, -0.0]),
+    st.sampled_from([-1, 0, 1, 2, 3, 64, 2**31, 10**20, 10**400, -(10**400)]),
+    st.booleans(),
+    st.sampled_from(["", "csv", "json", "fringe", "1.0"]),
+)
+_DROP = object()  # a value that removes its key
+_VALUES = st.one_of(*_SCALARS, st.lists(st.one_of(*_SCALARS), max_size=3), st.just(_DROP))
+# section -> (valid sections, the section's keys)
+_SECTIONS = {
+    "geometry": ([GEOMETRY], ("source", "slits", "screen_z", "wavelength", "k")),
+    "source_state": (
+        [{"fock": 1}, {"coherent": 0.5}, {"thermal": 0.5}],
+        ("fock", "coherent", "thermal", "cutoff"),
+    ),
+    "scan": ([FRINGE["scan"], QUBIT["scan"]], ("x_min", "x_max", "t_max", "n_points")),
+    "qubit": ([{"omega": 1.0}], ("omega", "cutoff")),
+    "output": ([{}], ("path", "format")),
+}
+
+
+@st.composite
+def _section_mixes(draw):
+    """A config of random sections: each is absent, valid, or valid with one key replaced or dropped."""
+    payload = {"experiment": draw(st.sampled_from(["fringe", "qubit", "verify", "compare", "interferometry"]))}
+    for name, (valid, keys) in _SECTIONS.items():
+        if draw(st.booleans()):
+            section = dict(draw(st.sampled_from(valid)))
+            if draw(st.booleans()):
+                section[draw(st.sampled_from(keys))] = draw(_VALUES)
+            payload[name] = {key: value for key, value in section.items() if value is not _DROP}
+    return payload
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_section_mixes())
+def test_parse_config_returns_a_run_config_or_raises_config_error(payload):
+    try:
+        config = parse_config(json.dumps(payload))
+    except ConfigError:
+        return
+    assert isinstance(config, RunConfig)
+
+
+def _benchmark_workloads(monkeypatch):
+    """The benchmark's workload module, loaded by path and left as it is."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", ["screen_scan", "qubit_curve", "cli_sweep"])
+def test_benchmark_invocations_parse(monkeypatch, workload, seed):
+    for invocation in _benchmark_workloads(monkeypatch).generate(workload, seed):
+        config = parse_config(invocation.text, far_field=invocation.far_field)
+        assert config.experiment == invocation.kind
+
+
 def test_source_cutoff_capped_by_memory_budget(tmp_path, monkeypatch, capsys):
     # Five dense complex cutoff x cutoff arrays (the thermal rho and its checks) fit the budget.
     assert 5 * 16 * MAX_SOURCE_CUTOFF**2 <= MEMORY_BUDGET_BYTES < 5 * 16 * (MAX_SOURCE_CUTOFF + 1) ** 2
-    for base in (FRINGE, VERIFY):
-        for kind in ({"fock": 1}, {"thermal": 0.5}, {"coherent": 0.5}):
-            for cutoff in (MAX_SOURCE_CUTOFF + 1, 3 * 10**9):
-                payload = dict(base, source_state=dict(kind, cutoff=cutoff))
-                assert _rejected_field(payload) == "source_state.cutoff"
-    accepted = parse_config(json.dumps(dict(VERIFY, source_state={"fock": 1, "cutoff": MAX_SOURCE_CUTOFF})))
+    for kind in ({"fock": 1}, {"thermal": 0.5}, {"coherent": 0.5}):
+        for cutoff in (MAX_SOURCE_CUTOFF + 1, 3 * 10**9):
+            payload = dict(FRINGE, source_state=dict(kind, cutoff=cutoff))
+            assert _rejected_field(payload) == "source_state.cutoff"
+    accepted = parse_config(json.dumps(dict(FRINGE, source_state={"fock": 1, "cutoff": MAX_SOURCE_CUTOFF})))
     assert accepted.source_state.dim == MAX_SOURCE_CUTOFF
     # At 3e9 levels the thermal rho alone would need 144 EB; nothing is built.
-    payload = dict(VERIFY, source_state={"thermal": 0.5, "cutoff": 3 * 10**9})
+    payload = dict(FRINGE, source_state={"thermal": 0.5, "cutoff": 3 * 10**9})
     err = _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, payload)
     assert f"source_state.cutoff must be at most {MAX_SOURCE_CUTOFF}" in err
 

@@ -116,6 +116,24 @@ def test_tensor_product_matches_embedding():
         annihilation_op(space, 2)
 
 
+@pytest.mark.parametrize("mode_count", [1, 2, 3])
+def test_embedding_is_the_kronecker_chain_from_a_scalar(mode_count):
+    # Mode operators are built through tensor_product; the chain kron(eye(1), ...) they
+    # replace is exact, so every entry, and the sign of every zero, must match.
+    for cutoff in range(2, 17 if mode_count < 3 else 11):
+        space = FockSpace(cutoff, mode_count)
+        eye = np.eye(cutoff, dtype=complex)
+        singles = (brute_force_annihilation(cutoff), np.diag(np.arange(cutoff, dtype=float)).astype(complex))
+        for mode in range(mode_count):
+            for built, single in zip((annihilation_op(space, mode), number_op(space, mode)), singles):
+                chain = np.eye(1, dtype=complex)
+                for j in range(mode_count):
+                    chain = np.kron(chain, single if j == mode else eye)
+                assert np.array_equal(built, chain)
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.signbit(part(built)), np.signbit(part(chain)))
+
+
 def test_dagger_involution_and_dim_checks():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))

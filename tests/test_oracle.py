@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -326,3 +327,37 @@ def test_check_registry_is_the_pinned_report_in_order():
 def test_registered_check_passes_alone(name, tolerance, check):
     deviation = float(check(np.random.default_rng(oracle._SUITE_SEED)))
     assert deviation <= tolerance, f"{name}: {deviation} > {tolerance}"
+
+
+def _nan_at_call(fn, call):
+    """`fn`, except that its `call`-th call (counting from 1) returns its result times NaN."""
+    calls = itertools.count(1)
+
+    def wrapped(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        return result * math.nan if next(calls) == call else result
+
+    return wrapped
+
+
+# (check, the oracle function whose result turns NaN, at which call). The NaN is never
+# the first deviation folded, which even a fold that drops NaN keeps.
+NAN_DEVIATIONS = [
+    ("picture_equivalence", "picture_equivalence_check", 2),
+    ("pauli_rotation_vs_conjugation", "heisenberg_conjugate", 2),
+    ("sigma_z_conservation", "heisenberg_conjugate", 2),
+    ("amplitude_variation_quadratic_scaling", "amplitude_variation_check", 3),
+    ("coherent_occupation", "expectation", 2),
+    ("fermionic_car_exactness", "anticommutator", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "name, function, call", NAN_DEVIATIONS, ids=[case[0] for case in NAN_DEVIATIONS]
+)
+def test_check_fails_on_a_later_nan_deviation(monkeypatch, name, function, call):
+    monkeypatch.setattr(oracle, function, _nan_at_call(getattr(oracle, function), call))
+    tolerance, check = next((tol, fn) for row, tol, fn in oracle.CHECKS if row == name)
+    result = oracle._check(name, check(np.random.default_rng(oracle._SUITE_SEED)), tolerance)
+    assert math.isnan(result.max_deviation)
+    assert result.passed is False
