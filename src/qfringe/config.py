@@ -54,7 +54,10 @@ DEFAULT_FORMAT = "csv"
 
 # Every size is capped so that its largest allocation fits in one budget, checked
 # before any array is built:
-# - qubit.cutoff: about five dense complex dim x dim operators, dim = cutoff**2 (60);
+# - qubit.cutoff: about five dense complex dim x dim operators, dim = cutoff**2 (60), so
+#   that the library's dense operators at a config's cutoff (`pauli_set`, `hamiltonian`,
+#   `quadratures`, `transition_probability_oracle`) can be built; the CLI flip curve
+#   builds none of them;
 # - source_state.cutoff: the dense thermal rho and its validation copies, about five
 #   complex cutoff x cutoff arrays (3663);
 # - scan.n_points: the output text and its cells, plus the (points, slits) kernel

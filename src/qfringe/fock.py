@@ -180,13 +180,10 @@ class QuantumState:
         return self.lost_weight > TRUNCATION_WARN_THRESHOLD
 
 
-def expectation(state, op: np.ndarray) -> complex:
+def expectation(state: QuantumState, op: np.ndarray) -> complex:
     """<psi|A|psi> for pure states, tr(rho A) for mixed ones."""
     op = np.asarray(op, dtype=complex)
-    if isinstance(state, QuantumState):
-        data = state.data
-    else:
-        data = np.asarray(state, dtype=complex)
+    data = state.data
     if data.shape[0] != op.shape[0]:
         raise ValueError(
             f"state dimension {data.shape[0]} does not match operator {op.shape[0]}"

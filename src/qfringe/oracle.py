@@ -55,19 +55,14 @@ def unitary_evolution(h: np.ndarray, t: float) -> np.ndarray:
     return (evecs * np.exp(-1j * evals * float(t))) @ evecs.conj().T
 
 
-def schrodinger_evolve(state, h: np.ndarray, t: float):
-    """Evolve a state vector or density matrix by exp(-i H t)."""
+def schrodinger_evolve(state: QuantumState, h: np.ndarray, t: float) -> QuantumState:
+    """Evolve a pure or mixed state by exp(-i H t)."""
     u = unitary_evolution(h, t)
-    if isinstance(state, QuantumState):
-        if state.kind == "pure":
-            return QuantumState("pure", u @ state.data, lost_weight=state.lost_weight)
-        return QuantumState(
-            "mixed", u @ state.data @ u.conj().T, lost_weight=state.lost_weight
-        )
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        return u @ arr
-    return u @ arr @ u.conj().T
+    if state.kind == "pure":
+        return QuantumState("pure", u @ state.data, lost_weight=state.lost_weight)
+    return QuantumState(
+        "mixed", u @ state.data @ u.conj().T, lost_weight=state.lost_weight
+    )
 
 
 def heisenberg_conjugate(op: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:

@@ -97,28 +97,16 @@ class SecondQuantizedPauli:
             object.__setattr__(self, name, op)
 
 
-def _hop(cutoff: int) -> np.ndarray:
-    """ax* ay from its matrix elements: sqrt(nx + 1) sqrt(ny) at (i + cutoff - 1, i).
-
-    Basis index i = nx * cutoff + ny. Each element is the one nonzero term of
-    the dense product ax* @ ay, formed by the same multiplication, so the two
-    agree bit for bit.
-    """
-    n_x, n_y = np.divmod(np.arange(cutoff * cutoff), cutoff)
-    i = np.flatnonzero((n_x < cutoff - 1) & (n_y > 0))
-    op = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
-    op[i + cutoff - 1, i] = np.sqrt(n_x[i] + 1) * np.sqrt(n_y[i])
-    return op
-
-
 def schwinger_map(label: str, params: QubitModelParams) -> np.ndarray:
     """One Pauli bilinear, exactly as the mode-operator expressions above.
 
-    ay* ax is the transpose of ax* ay, whose matrix elements are real.
+    X and Y are formed from the dense product ax* ay of `mode_ops`; ay* ax is
+    its transpose, since its matrix elements sqrt(nx + 1) sqrt(ny) are real.
     """
     label = label.upper()
     if label in ("X", "Y"):
-        hop = _hop(params.cutoff)
+        ax, ay = mode_ops(params)
+        hop = dagger(ax) @ ay
         return hop + hop.T if label == "X" else 1j * (hop - hop.T)
     if label == "Z":
         space = two_mode_space(params)
@@ -391,19 +379,19 @@ def transition_probability(params: QubitModelParams, t):
     Computed in the Heisenberg picture as <+|(I - Sigma_X(t))/2|+> on the
     single-excitation sector; equals sin^2(omega t / 2). `t` is a scalar
     (returns a float) or an array of times (returns an array of that shape).
-    The Pauli basis is built once per call; Sigma_X(t)|+> = cos(omega t)
-    Sigma_X|+> + sin(omega t) Sigma_Y|+> is one outer product per block of
-    times, each block holding at most 2**18 entries (4 MiB) whatever the grid.
+    Sigma_X(t)|+> = cos(omega t) Sigma_X|+> + sin(omega t) Sigma_Y|+> is one
+    outer product over all times. The bilinears conserve total number, so the
+    readout never leaves {|1,0>, |0,1>}, whose matrix elements sqrt(1) sqrt(1)
+    do not depend on the cutoff; it is taken at cutoff 2, the smallest space
+    holding that sector. Every entry outside the sector is an exact zero in both
+    the dense products and the sums, so this equals the curve at `params.cutoff`
+    bit for bit.
     """
     phases = params.omega * np.asarray(t, dtype=float)
     if not np.isfinite(phases).all():
         raise ValueError("omega * t must be finite")
-    base = pauli_set(params)
-    plus_vec = plus_state(params).data
+    sector = replace(params, cutoff=2)
+    base, plus_vec = pauli_set(sector), plus_state(sector).data
     u, w = base.sigma_x @ plus_vec, base.sigma_y @ plus_vec
-    block = max(1, 2**18 // plus_vec.size)
-    values = np.concatenate([
-        _flip_readout(plus_vec, np.multiply.outer(np.cos(ph), u) + np.multiply.outer(np.sin(ph), w))
-        for ph in np.split(phases.ravel(), range(block, phases.size, block))
-    ]).reshape(phases.shape)
+    values = _flip_readout(plus_vec, np.multiply.outer(np.cos(phases), u) + np.multiply.outer(np.sin(phases), w))
     return float(values) if values.ndim == 0 else values

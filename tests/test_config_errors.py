@@ -235,6 +235,25 @@ def test_benchmark_invocations_parse(monkeypatch, workload, seed):
         assert config.experiment == invocation.kind
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", ["qubit_curve", "cli_sweep"])
+def test_benchmark_qubit_runs_write_the_same_bytes_at_cutoff_2(tmp_path, monkeypatch, workload, seed):
+    invocations = [
+        inv for inv in _benchmark_workloads(monkeypatch).generate(workload, seed) if inv.kind == "qubit"
+    ]
+    assert invocations
+    for inv in invocations:
+        sector = dict(inv.config, qubit=dict(inv.config["qubit"], cutoff=2))
+        for fmt in ("csv", "json"):
+            written = []
+            for name, text in (("own", inv.text), ("sector", json.dumps(sector))):
+                path = tmp_path / f"{inv.name}_{name}.{fmt}"
+                config = parse_config(text, output_path=str(path), output_format=fmt)
+                assert run(config) == 0
+                written.append(path.read_bytes())
+            assert written[0] == written[1], (inv.name, fmt)
+
+
 def test_source_cutoff_capped_by_memory_budget(tmp_path, monkeypatch, capsys):
     # Five dense complex cutoff x cutoff arrays (the thermal rho and its checks) fit the budget.
     assert 5 * 16 * MAX_SOURCE_CUTOFF**2 <= MEMORY_BUDGET_BYTES < 5 * 16 * (MAX_SOURCE_CUTOFF + 1) ** 2
@@ -299,8 +318,8 @@ def test_cli_rejects_huge_scan(tmp_path, monkeypatch, capsys, payload):
     ids=["fringe_json", "fringe_16_slits", "compare_json", "qubit_json"],
 )
 def test_run_memory_per_point_within_scan_charge(tmp_path, monkeypatch, payload, slits):
-    # tracemalloc peak of a whole run, per point, from two scan sizes; both exceed
-    # the qubit readout's block of times, whose memory is bounded.
+    # tracemalloc peak of a whole run, per point, from two scan sizes; the qubit
+    # readout's outer product holds four complex entries a point.
     monkeypatch.chdir(tmp_path)
     peaks = []
     for n_points in (10_000, 30_000):

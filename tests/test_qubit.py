@@ -432,7 +432,7 @@ def test_transition_probability_equals_per_point_reference(omega, times, cutoff)
 
 
 def test_transition_probability_works_in_bounded_blocks_of_times():
-    # Sigma_X(t)|+> for all 40k times at once would take 164 MB at cutoff 16.
+    # Sigma_X(t)|+> for all 40k times is read at cutoff 2: a 40,000 x 4 complex array, 2.6 MB.
     params = QubitModelParams(omega=1.3, cutoff=16)
     times = np.linspace(0.0, 50.0, 40_000)
     tracemalloc.start()
@@ -444,6 +444,21 @@ def test_transition_probability_works_in_bounded_blocks_of_times():
     assert peak < 64 * 2**20
     parts = [transition_probability(params, times[i : i + 9_999]) for i in range(0, times.size, 9_999)]
     assert np.array_equal(curve, np.concatenate(parts))
+
+
+def test_flip_curve_is_the_same_at_every_cutoff():
+    times = np.linspace(0.0, 2.0 * math.pi, 101)
+    curves = {c: transition_probability(QubitModelParams(omega=1.3, cutoff=c), times) for c in (2, 8, 16)}
+    tracemalloc.start()
+    try:
+        curves[60] = transition_probability(QubitModelParams(omega=1.3, cutoff=60), times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One dense cutoff-60 operator alone is 3600**2 complex entries, 207 MB.
+    assert peak < 2**20
+    for cutoff in (8, 16, 60):
+        assert np.array_equal(curves[cutoff], curves[2])
 
 
 def test_transition_probability_builds_basis_once_per_call(monkeypatch):
