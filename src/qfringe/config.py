@@ -7,8 +7,9 @@ reads `output` and the sections `_READS` names, and any other is an error.
 and a `ValueError` from one becomes a `ConfigError` naming the field. Config
 adds only CLI policy: the size caps below, the finite-phase check, the 2-slit
 rule of compare and far-field mode, far-field mode's limit to the screen
-experiments, and the scan checks (`ScanSpec` and `OutputSpec` have no library
-counterpart). The CLI's --output, --format and --far-field are inputs here.
+experiments and its accuracy range, and the scan checks (`ScanSpec` and
+`OutputSpec` have no library counterpart). The CLI's --output, --format and
+--far-field are inputs here.
 
 Unknown keys (with a nearest-key hint when one is a single edit away) and
 repeated keys are rejected; every quantity is in SI units with no unit
@@ -23,7 +24,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .diffraction import SlitGeometry, wavenumber
+import numpy as np
+
+from .diffraction import SlitGeometry, path_lengths, wavenumber
 from .fock import FockSpace, QuantumState, coherent_state, fock_state, thermal_state
 from .qubit import QubitModelParams
 
@@ -68,6 +71,14 @@ MAX_QUBIT_CUTOFF = math.isqrt(math.isqrt(MEMORY_BUDGET_BYTES // (5 * 16)))
 MAX_SOURCE_CUTOFF = math.isqrt(MEMORY_BUDGET_BYTES // (5 * 16))
 SCAN_BYTES_PER_POINT = 1024
 SCAN_BYTES_PER_SLIT_POINT = 64
+
+
+# Far-field mode's range. Its law subtracts two legs of about max r, so its phase
+# carries a rounding error of about k * max r * 2**-53; and it drops the slit-mode
+# model's 1/r_j weights, which differ from equal ones by about (1 - v) / 2 with
+# v = 2 r_0 r_1 / (r_0**2 + r_1**2). Either, over the scan's points, may reach
+# this bound, the benchmark's tolerance on a fringe.
+FAR_FIELD_TOL = 1e-7
 
 
 def max_scan_points(slit_count: int) -> int:
@@ -311,6 +322,25 @@ def _parse_output(raw: dict, experiment: str, path: str | None, fmt: str | None)
     return OutputSpec(path=path, format=fmt)
 
 
+def _check_far_field_range(geometry: SlitGeometry, scan: ScanSpec) -> None:
+    """Refuse a far-field scan whose law is off by more than FAR_FIELD_TOL (see there)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, r = path_lengths(geometry, np.linspace(scan.x_min, scan.x_max, scan.n_points))
+        if not r.all():  # a zero-length leg: the run reports the degenerate geometry (exit 4)
+            return
+        r0, r1 = r[:, 0], r[:, 1]
+        bounds = (
+            ("phase rounding k * max r * 2**-53", geometry.k * r.max() * 2.0**-53),
+            ("dropped 1/r weights max(1 - v)", np.max(1.0 - 2.0 * r0 * r1 / (r0**2 + r1**2))),
+        )
+    for what, bound in bounds:
+        if not bound <= FAR_FIELD_TOL:
+            raise ConfigError(
+                f"geometry is out of far-field range: {what} = {bound:.2g} exceeds {FAR_FIELD_TOL:g}",
+                field="geometry",
+            )
+
+
 def parse_config(
     text: str, output_path: str | None = None, output_format: str | None = None, far_field: bool = False
 ) -> RunConfig:
@@ -354,6 +384,8 @@ def parse_config(
         )
     if far_field and geometry.slit_count != 2:
         raise ConfigError("far-field mode requires exactly 2 slits", field="geometry.slits")
+    if far_field:
+        _check_far_field_range(geometry, scan)
     return RunConfig(experiment, geometry, source_state, scan, qubit, output, far_field)
 
 

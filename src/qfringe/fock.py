@@ -97,6 +97,18 @@ def dagger(op: np.ndarray) -> np.ndarray:
     return np.asarray(op).conj().T
 
 
+def checked_operator(op, name: str, hermitian: bool = True) -> np.ndarray:
+    """`op` as a complex array, which must be square, finite and (by default) Hermitian."""
+    op = np.asarray(op, dtype=complex)
+    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+        raise ValueError(f"{name} must be a square matrix")
+    if not np.isfinite(op).all():
+        raise ValueError(f"{name} entries must be finite")
+    if hermitian and np.max(np.abs(op - op.conj().T)) > HERMITIAN_TOL:
+        raise ValueError(f"{name} must be Hermitian")
+    return op
+
+
 def _check_compatible(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"operator shapes {a.shape} and {b.shape} are incompatible")

@@ -19,38 +19,27 @@ import numpy as np
 
 from . import diffraction, qubit
 from .fock import (
-    HERMITIAN_TOL,
     FockSpace,
     QuantumState,
     annihilation_op,
     anticommutator,
+    checked_operator,
     coherent_state,
     commutator,
     creation_op,
     dagger,
     expectation,
     fermionic_mode_ops,
-    fock_state,
     number_op,
+    thermal_state,
 )
 
 _SUITE_SEED = 20260809
 
 
-def _require_hermitian(h: np.ndarray) -> np.ndarray:
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("Hamiltonian must be a square matrix")
-    if not np.isfinite(h).all():
-        raise ValueError("Hamiltonian entries must be finite")
-    if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL:
-        raise ValueError("Hamiltonian must be Hermitian")
-    return h
-
-
 def unitary_evolution(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) via eigendecomposition of the Hermitian H."""
-    h = _require_hermitian(h)
+    h = checked_operator(h, "Hamiltonian")
     evals, evecs = np.linalg.eigh(h)
     return (evecs * np.exp(-1j * evals * float(t))) @ evecs.conj().T
 
@@ -99,7 +88,7 @@ def picture_equivalence_check(op: np.ndarray, state, h: np.ndarray, t: float) ->
     op = np.asarray(op, dtype=complex)
     evolved = schrodinger_evolve(state, h, t)
     lhs = expectation(evolved, op)
-    u = _expm(-1j * float(t) * _require_hermitian(h))
+    u = _expm(-1j * float(t) * checked_operator(h, "Hamiltonian"))
     rhs = expectation(state, u.conj().T @ op @ u)
     return abs(lhs - rhs)
 
@@ -158,7 +147,7 @@ def transition_probability_oracle(params: qubit.QubitModelParams, t):
     that shape). H and its eigendecomposition are built once per call; each time
     then costs O(dim): <-|exp(-i H t)|+> = sum_j <-|v_j> exp(-i E_j t) <v_j|+>.
     """
-    evals, evecs = np.linalg.eigh(_require_hermitian(qubit.hamiltonian(params)))
+    evals, evecs = np.linalg.eigh(checked_operator(qubit.hamiltonian(params), "Hamiltonian"))
     weights = (qubit.minus_state(params).data.conj() @ evecs) * (
         evecs.conj().T @ qubit.plus_state(params).data
     )
@@ -179,7 +168,7 @@ def amplitude_variation_check(
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    h = _require_hermitian(h)
+    h = checked_operator(h, "Hamiltonian")
     bra = np.asarray(bra, dtype=complex)
     ket = np.asarray(ket, dtype=complex)
     tau = float(t2) - float(t1)
@@ -220,6 +209,11 @@ _GEOM = diffraction.SlitGeometry(
     source=(0.0, -1.0), slits=(-5e-6, 5e-6), screen_z=1.0, k=diffraction.wavenumber(500e-9)
 )
 _XS = np.linspace(-0.025, 0.025, 101)
+_GEOM16 = diffraction.SlitGeometry(
+    source=(3e-4, -0.8), slits=tuple(1.2e-5 * (j - 7.5) for j in range(16)), screen_z=1.3,
+    k=diffraction.wavenumber(633e-9),
+)
+_XS16 = np.linspace(-0.02, 0.03, 101)
 _PARAMS = qubit.QubitModelParams(omega=1.0, cutoff=4)
 _SMALL = qubit.QubitModelParams(omega=1.0, cutoff=3)
 _PHASES = (0.1, 0.7, math.pi / 3.0, 2.5)  # omega * t of the Pauli checks
@@ -249,10 +243,23 @@ def _fermionic_vs_bosonic_fringe(_rng) -> float:
     return np.max(np.abs(fermionic_fringe(_GEOM, _XS) - diffraction.single_photon_fringe(_GEOM, _XS)))
 
 
-def _exact_fringe_vs_intensity_pipeline(_rng) -> float:
-    raw = diffraction.intensity_expectation(fock_state(FockSpace(2), 1), _GEOM, _XS)
-    exact = diffraction.fringe_scan(_GEOM, -0.025, 0.025, 101).probability
-    return np.max(np.abs(raw / raw.max() - exact))
+def _reciprocity_deviation(geom: diffraction.SlitGeometry, xs: np.ndarray) -> float:
+    """|T - T'| of peak |T|, T' with source and detector swapped and z mirrored.
+
+    The source moves to (x, -screen_z), the screen to z = -source_z and the detector
+    to the source's x, so every source leg becomes a detector leg and back.
+    """
+    forward = diffraction.transfer_coefficients(geom, xs)
+    (sx, sz), z = geom.source, geom.screen_z
+    swapped = [
+        diffraction.transfer_coefficients(diffraction.SlitGeometry((x, -z), geom.slits, -sz, geom.k), sx)[0]
+        for x in xs
+    ]
+    return np.max(np.abs(forward - swapped)) / np.abs(forward).max()
+
+
+def _transfer_reciprocity(_rng) -> float:
+    return np.max([_reciprocity_deviation(_GEOM, _XS), _reciprocity_deviation(_GEOM16, _XS16)])
 
 
 # Qubit dynamics against state evolution.
@@ -349,6 +356,17 @@ def _fermionic_car_exactness(_rng) -> float:
     ])
 
 
+def _thermal_occupation(_rng) -> float:
+    """Relative error of a truncated thermal <n>: r/(1-r) - c r^c/(1-r^c), r = nbar/(1+nbar)."""
+    deviations = []
+    for nbar, cutoff in ((0.7, 12), (3.0, 64)):
+        space = FockSpace(cutoff)
+        r = nbar / (1.0 + nbar)
+        want = r / (1.0 - r) - cutoff * r**cutoff / (1.0 - r**cutoff)
+        deviations.append(abs(expectation(thermal_state(space, nbar), number_op(space)).real / want - 1.0))
+    return np.max(deviations)
+
+
 # The registered checks, (name, tolerance, check) in report order. A check takes the
 # suite's generator and returns its deviation. Append a new check's row, so the first
 # two rows' draws from the generator, and every earlier report row, stay as they are.
@@ -357,7 +375,7 @@ CHECKS = (
     ("picture_equivalence", 1e-10, _picture_equivalence),
     ("fringe_heisenberg_vs_slit_modes", 1e-10, _fringe_heisenberg_vs_slit_modes),
     ("fermionic_vs_bosonic_fringe", 1e-10, _fermionic_vs_bosonic_fringe),
-    ("exact_fringe_vs_intensity_pipeline", 1e-12, _exact_fringe_vs_intensity_pipeline),
+    ("transfer_reciprocity", 1e-12, _transfer_reciprocity),
     ("transition_probability_vs_schrodinger", 1e-10, _transition_probability_vs_schrodinger),
     ("pauli_rotation_vs_conjugation", 1e-10, _pauli_rotation_vs_conjugation),
     ("sigma_z_conservation", 1e-12, _sigma_z_conservation),
@@ -370,6 +388,7 @@ CHECKS = (
     ("canonical_commutator_cutoff_corner", 1e-12, _canonical_commutator_cutoff_corner),
     ("distinct_mode_commutation", 0.0, _distinct_mode_commutation),
     ("fermionic_car_exactness", 0.0, _fermionic_car_exactness),
+    ("thermal_occupation", 1e-12, _thermal_occupation),
 )
 
 

@@ -36,8 +36,10 @@ from .fock import (
     HERMITIAN_TOL,
     QuantumState,
     annihilation_op,
+    checked_operator,
     dagger,
     number_op,
+    tensor_product,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -83,13 +85,10 @@ class SecondQuantizedPauli:
     sigma_z: np.ndarray
 
     def __post_init__(self):
-        n_total = _total_number_diagonal(np.asarray(self.sigma_x).shape[0])
-        for name in ("sigma_x", "sigma_y", "sigma_z"):
-            op = np.asarray(getattr(self, name), dtype=complex)
-            if not np.isfinite(op).all():
-                raise ValueError(f"{name} entries must be finite")
-            if np.max(np.abs(op - op.conj().T)) > HERMITIAN_TOL:
-                raise ValueError(f"{name} must be Hermitian")
+        names = ("sigma_x", "sigma_y", "sigma_z")
+        ops = [(name, checked_operator(getattr(self, name), name)) for name in names]
+        n_total = _total_number_diagonal(ops[0][1].shape[0])
+        for name, op in ops:
             # [op, N] from the diagonal N: the same terms the dense products give.
             if np.max(np.abs(op * n_total[None, :] - n_total[:, None] * op)) > HERMITIAN_TOL:
                 raise ValueError(f"{name} must conserve total excitation number")
@@ -100,13 +99,15 @@ class SecondQuantizedPauli:
 def schwinger_map(label: str, params: QubitModelParams) -> np.ndarray:
     """One Pauli bilinear, exactly as the mode-operator expressions above.
 
-    X and Y are formed from the dense product ax* ay of `mode_ops`; ay* ax is
-    its transpose, since its matrix elements sqrt(nx + 1) sqrt(ny) are real.
+    X and Y are formed from ax* ay, the Kronecker product a* (x) a of one-mode
+    ladder operators: the dense product of `mode_ops` entry for entry, without its
+    O(cutoff^6) cost. ay* ax is its transpose, since its matrix elements
+    sqrt(nx + 1) sqrt(ny) are real.
     """
     label = label.upper()
     if label in ("X", "Y"):
-        ax, ay = mode_ops(params)
-        hop = dagger(ax) @ ay
+        a = annihilation_op(FockSpace(params.cutoff))
+        hop = tensor_product(dagger(a), a)
         return hop + hop.T if label == "X" else 1j * (hop - hop.T)
     if label == "Z":
         space = two_mode_space(params)
@@ -137,18 +138,10 @@ class QuadratureSet:
     p_y: np.ndarray
 
     def __post_init__(self):
-        dim = None
         for name in ("x", "p_x", "y", "p_y"):
-            op = np.asarray(getattr(self, name), dtype=complex)
-            if op.ndim != 2 or op.shape[0] != op.shape[1]:
-                raise ValueError(f"{name} must be a square matrix")
-            if dim is None:
-                dim = op.shape[0]
-            elif op.shape[0] != dim:
+            object.__setattr__(self, name, checked_operator(getattr(self, name), name, hermitian=False))
+            if getattr(self, name).shape != self.x.shape:  # x is set first
                 raise ValueError("all quadratures must share one dimension")
-            if not np.all(np.isfinite(op.view(float))):
-                raise ValueError(f"{name} entries must be finite")
-            object.__setattr__(self, name, op)
 
     @property
     def dim(self) -> int:

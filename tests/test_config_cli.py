@@ -652,8 +652,8 @@ def test_cli_scan_output_bytes_pinned(tmp_path, experiment, source_state, flags,
 
 # SHA-256 of the default verify report, written by the report's own serializers.
 VERIFY_OUTPUT_DIGESTS = [
-    ("json", "c5832efabe902e13dbf3984be5706c3065944559f2a6940393d750380206a245"),
-    ("csv", "a57614526944c8927db3bf0fdfb4be4dfe56550351b957dc7828a643a29fc6d5"),
+    ("json", "837c19cebfd5dd1fa76347d56118ef48fb633888f92fd4d324fe2a2603afef1c"),
+    ("csv", "96855ee0c27b408024f72bf51760fa17e51e14f26df48e981d6d908050c41e20"),
 ]
 
 

@@ -7,6 +7,8 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from qfringe import ConfigError, FockSpace, RunConfig, parse_config, run, thermal_state
 from qfringe.cli import main
 from qfringe.config import (
+    FAR_FIELD_TOL,
     MAX_SOURCE_CUTOFF,
     MEMORY_BUDGET_BYTES,
     SCAN_BYTES_PER_POINT,
@@ -29,6 +32,7 @@ FRINGE = {
 }
 QUBIT = {"experiment": "qubit", "scan": {"t_max": 6.0, "n_points": 11}}
 VERIFY = {"experiment": "verify"}
+FAR_FIELD = ("--far-field",)
 
 
 def _with(base, section, **fields):
@@ -48,11 +52,11 @@ def _rejected_field(payload):
     return excinfo.value.field
 
 
-def _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, payload):
+def _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, payload, flags=()):
     """Run the CLI on `payload`: exit 2, one stderr line, nothing written; returns the line."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run_config.json").write_text(_text(payload))
-    assert main(["--config", "run_config.json"]) == 2
+    assert main(["--config", "run_config.json", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("config error: ")
@@ -60,7 +64,7 @@ def _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, payload):
     return captured.err
 
 
-# (id, config, the field that ConfigError names)
+# (id, config, the field that ConfigError names); a (config, flags) pair runs with CLI flags
 BAD_CONFIGS = [
     # top level
     ("not_an_object", [], "config"),
@@ -92,6 +96,10 @@ BAD_CONFIGS = [
     ("source_z_square_overflows", _with(FRINGE, "geometry", source=[0.0, -1e200]), "geometry"),
     ("unknown_geometry_key", _with(FRINGE, "geometry", slitz=[0.0]), "geometry.slitz"),
     ("compare_three_slits", _with(dict(FRINGE, experiment="compare"), "geometry", slits=[-1e-5, 0.0, 1e-5]), "geometry.slits"),
+    # far-field range: at L = 100 km and 1 nm the law's phase rounding (0.07) leaves no
+    # correct digit; at 1 cm the dropped 1/r weights move the fringe by 1e-5
+    ("far_field_phase_rounding", (_with(_with(dict(FRINGE, experiment="compare"), "geometry", screen_z=1e5, wavelength=1e-9), "scan", x_min=-20.0, x_max=20.0), FAR_FIELD), "geometry"),
+    ("far_field_near_field", (_with(_with(FRINGE, "geometry", slits=[-5e-5, 5e-5], screen_z=0.01), "scan", x_min=-0.01, x_max=0.01), FAR_FIELD), "geometry"),
     # scan
     ("no_scan", {k: v for k, v in FRINGE.items() if k != "scan"}, "scan"),
     ("scan_not_object", dict(FRINGE, scan=5), "scan"),
@@ -155,11 +163,12 @@ BAD_CONFIGS = [
     "payload, field", [case[1:] for case in BAD_CONFIGS], ids=[case[0] for case in BAD_CONFIGS]
 )
 def test_bad_config_names_its_field_and_exits_2(tmp_path, monkeypatch, capsys, payload, field):
+    payload, flags = payload if isinstance(payload, tuple) else (payload, ())
     with pytest.raises(ConfigError) as excinfo:
-        parse_config(_text(payload))
+        parse_config(_text(payload), far_field="--far-field" in flags)
     assert excinfo.value.field == field
     assert "\n" not in str(excinfo.value)
-    _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, payload)
+    _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, payload, flags)
 
 
 def test_section_the_experiment_does_not_read_is_named(tmp_path, monkeypatch, capsys):
@@ -233,6 +242,58 @@ def test_benchmark_invocations_parse(monkeypatch, workload, seed):
     for invocation in _benchmark_workloads(monkeypatch).generate(workload, seed):
         config = parse_config(invocation.text, far_field=invocation.far_field)
         assert config.experiment == invocation.kind
+
+
+def test_far_field_guard_accepts_every_benchmark_far_field_run(monkeypatch):
+    # The generator draws wavelengths of at least 400 nm, and its screens (at most 2 m)
+    # and scans (at most 1.1 x 4 fringe periods) keep every leg r below 2.4 m, so the
+    # phase rounding k * max r * 2**-53 stays below 4.2e-9. Its slits (d at most 1.4
+    # pitches) and scans (x / L at most 4.4 wavelengths per pitch) keep 1 - v, about
+    # d**2 x**2 / (2 r**4), below (6.16 x 700 nm)**2 / (2 (0.5 m)**2) = 3.7e-11.
+    module = _benchmark_workloads(monkeypatch)
+    runs = [
+        inv
+        for seed in range(1, 21)
+        for workload in module.WORKLOADS
+        for inv in module.generate(workload, seed)
+        if inv.far_field
+    ]
+    assert len(runs) == 80
+    for inv in runs:
+        assert parse_config(inv.text, far_field=True).far_field
+
+
+def _mpmath_far_field_law(geometry, x):
+    """(1 + cos(k (r_0 - r_1))) / 2 at 50 digits, from the same float inputs."""
+    with mpmath.workdps(50):
+        (a0, _), (a1, _) = geometry.slits
+        x, z, k = mpmath.mpf(x), mpmath.mpf(geometry.screen_z), mpmath.mpf(geometry.k)
+        r0, r1 = (mpmath.sqrt((x - mpmath.mpf(a)) ** 2 + z**2) for a in (a0, a1))
+        return float((1 + mpmath.cos(k * (r0 - r1))) / 2)
+
+
+@pytest.mark.parametrize(
+    "geometry, half_width",
+    [
+        (GEOMETRY, 0.025),  # canonical: phase bound 1.4e-9
+        (dict(GEOMETRY, screen_z=10.0, wavelength=100e-9), 0.2),  # phase bound 7.0e-8
+        (dict(GEOMETRY, screen_z=0.01), 0.005),  # 1 - v reaches 8.0e-8
+    ],
+    ids=["canonical", "phase_bound_edge", "near_field_edge"],
+)
+def test_accepted_far_field_compare_stays_within_tolerance_of_mpmath_law(tmp_path, geometry, half_width):
+    payload = {
+        "experiment": "compare",
+        "geometry": geometry,
+        "scan": {"x_min": -half_width, "x_max": half_width, "n_points": 101},
+        "output": {"path": str(tmp_path / "compare.csv")},
+    }
+    config = parse_config(json.dumps(payload), far_field=True)
+    assert run(config) == 0
+    table = np.loadtxt(tmp_path / "compare.csv", delimiter=",", skiprows=1, comments="#")
+    law = np.array([_mpmath_far_field_law(config.geometry, x) for x in table[:, 0]])
+    # heisenberg is the far-field law, oracle the slit-mode model with its 1/r weights.
+    assert np.max(np.abs(table[:, 1:3] - law[:, None])) <= FAR_FIELD_TOL
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -301,7 +301,7 @@ PINNED_REPORT_CHECKS = [
     "picture_equivalence",
     "fringe_heisenberg_vs_slit_modes",
     "fermionic_vs_bosonic_fringe",
-    "exact_fringe_vs_intensity_pipeline",
+    "transfer_reciprocity",
     "transition_probability_vs_schrodinger",
     "pauli_rotation_vs_conjugation",
     "sigma_z_conservation",
@@ -314,6 +314,7 @@ PINNED_REPORT_CHECKS = [
     "canonical_commutator_cutoff_corner",
     "distinct_mode_commutation",
     "fermionic_car_exactness",
+    "thermal_occupation",
 ]
 
 

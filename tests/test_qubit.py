@@ -482,8 +482,24 @@ def test_schwinger_map_matches_dense_mode_products(cutoff):
     space = two_mode_space(params)
     ax, ay = annihilation_op(space, 0), annihilation_op(space, 1)
     axd, ayd = dagger(ax), dagger(ay)
-    assert np.array_equal(schwinger_map("X", params), axd @ ay + ayd @ ax)
-    assert np.array_equal(schwinger_map("Y", params), 1j * (axd @ ay - ayd @ ax))
+    for label, dense in (("X", axd @ ay + ayd @ ax), ("Y", 1j * (axd @ ay - ayd @ ax))):
+        built = schwinger_map(label, params)
+        assert np.array_equal(built, dense)
+        for part in (np.real, np.imag):  # zeros carry the dense products' signs too
+            assert np.array_equal(np.signbit(part(built)), np.signbit(part(dense)))
+
+
+def test_schwinger_map_memory_is_a_few_operators():
+    # The Kronecker product a* (x) a holds about two dim x dim complex arrays at its
+    # peak, dim = cutoff**2; the dense product of the embedded mode operators holds four.
+    cutoff = 24
+    tracemalloc.start()
+    try:
+        schwinger_map("X", QubitModelParams(omega=1.0, cutoff=cutoff))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * cutoff**4 * 16
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -493,6 +509,12 @@ def test_pauli_set_validation_rejects_non_finite(bad):
     sigma_z[4, 4] = bad
     with pytest.raises(ValueError, match="sigma_z entries must be finite"):
         SecondQuantizedPauli(sigma_x=base.sigma_x, sigma_y=base.sigma_y, sigma_z=sigma_z)
+
+
+def test_pauli_set_validation_rejects_non_square_operator():
+    base = pauli_set(QubitModelParams(omega=1.0, cutoff=2))
+    with pytest.raises(ValueError, match="sigma_x must be a square matrix"):
+        SecondQuantizedPauli(sigma_x=base.sigma_x[:, :3], sigma_y=base.sigma_y, sigma_z=base.sigma_z)
 
 
 def test_pauli_set_validation_rejects_non_product_dimension():
