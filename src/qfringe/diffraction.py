@@ -10,10 +10,10 @@ Detected intensity is |value|^2 times the mean occupation of the source
 mode, so the fringe pattern is a statement about number operators and holds
 for any source state.
 
-Geometry is two-dimensional: points are (x, z) pairs in meters, slits sit
-on the z = 0 plane, the source below it, the screen plane above it. Path
-lengths are exact Euclidean distances; the far-field fringe drops the
-1/r amplitude factors but keeps the exact path difference in the phase.
+Geometry is two-dimensional: points are (x, z) pairs in meters, slits are x
+positions on the z = 0 plane, the source below it, the screen plane above
+it. Path lengths are exact Euclidean distances; the far-field fringe drops
+the 1/r amplitude factors but keeps the exact path difference in the phase.
 """
 
 from __future__ import annotations
@@ -39,38 +39,29 @@ def wavenumber(wavelength: float) -> float:
 
 @dataclass(frozen=True)
 class SlitGeometry:
-    """Source point, slit points on z = 0, screen plane z = screen_z, wavenumber k.
+    """Source point, slit x positions on z = 0, screen plane z = screen_z, wavenumber k.
 
-    Slits may be given as bare x coordinates or as (x, 0) pairs. All lengths
-    are in meters, k in 1/meters.
+    All lengths are in meters, k in 1/meters.
     """
 
     source: tuple[float, float]
-    slits: tuple[tuple[float, float], ...]
+    slits: tuple[float, ...]
     screen_z: float
     k: float
 
     def __post_init__(self):
         source = (float(self.source[0]), float(self.source[1]))
-        slits = []
-        for item in self.slits:
-            if np.ndim(item) == 0:
-                slits.append((float(item), 0.0))
-            else:
-                x, z = item
-                if float(z) != 0.0:
-                    raise ValueError("slit points must lie on the z = 0 plane")
-                slits.append((float(x), 0.0))
+        slits = tuple(float(x) for x in self.slits)
         if not slits:
             raise ValueError("geometry needs at least one slit")
-        coords = [*source, *(x for x, _ in slits), float(self.screen_z)]
+        coords = [*source, *slits, float(self.screen_z)]
         if not all(math.isfinite(v) for v in [*coords, float(self.k)]):
             raise ValueError("source, slits, screen_z and k must be finite")
         # The legs square each coordinate as a Python float, which raises
         # OverflowError past about 1.34e154 m instead of giving inf.
         if not all(math.isfinite(v * v) for v in coords):
             raise ValueError("source, slits and screen_z must have a finite square")
-        if len({x for x, _ in slits}) != len(slits):
+        if len(set(slits)) != len(slits):
             raise ValueError("slit points must be distinct")
         if not source[1] < 0.0:
             raise ValueError("source must sit below the slit plane (z < 0)")
@@ -79,7 +70,7 @@ class SlitGeometry:
         if not float(self.k) > 0.0:
             raise ValueError(f"wavenumber must be positive, got {self.k}")
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "slits", tuple(slits))
+        object.__setattr__(self, "slits", slits)
         object.__setattr__(self, "screen_z", float(self.screen_z))
         object.__setattr__(self, "k", float(self.k))
 
@@ -93,10 +84,11 @@ def path_lengths(geom: SlitGeometry, x_detector) -> tuple[np.ndarray, np.ndarray
 
     s has shape (slits,), r has shape np.shape(x_detector) + (slits,). Squares go
     through np.float_power (C pow, as Python's **), so every leg rounds the same
-    whether the points come one at a time or as an array.
+    whether the points come one at a time or as an array. The far-field law, the
+    far-field guard and the slit-mode oracle all take their legs from here.
     """
     sx, sz = geom.source
-    a = np.array([x for x, _ in geom.slits])
+    a = np.array(geom.slits)
     s = np.sqrt(np.float_power(a - sx, 2) + sz**2)
     x = np.asarray(x_detector, dtype=float)[..., None]
     r = np.sqrt(np.float_power(x - a, 2) + geom.screen_z**2)
@@ -112,7 +104,7 @@ def transfer_coefficients(geom: SlitGeometry, xs) -> np.ndarray:
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     sx, sz = geom.source
-    a = np.array([x for x, _ in geom.slits])
+    a = np.array(geom.slits)
     x = xs[:, None]
     s = np.sqrt((a - sx) ** 2 + sz**2)
     r = np.sqrt((x - a) ** 2 + geom.screen_z**2)

@@ -67,11 +67,13 @@ def _single_mode_annihilation(cutoff: int) -> np.ndarray:
     return op
 
 
-def _embed(op: np.ndarray, space: FockSpace, mode: int) -> np.ndarray:
+def _embed(op: np.ndarray, space: FockSpace, mode: int, left: np.ndarray | None = None) -> np.ndarray:
+    """`op` on `mode`, `left` (default: the identity) on every mode before it, the identity after."""
     if not 0 <= mode < space.mode_count:
         raise ValueError(f"mode {mode} out of range for {space.mode_count} modes")
     eye = np.eye(space.cutoff, dtype=complex)
-    return tensor_product(*(op if j == mode else eye for j in range(space.mode_count)))
+    before = [eye if left is None else left] * mode
+    return tensor_product(*before, op, *[eye] * (space.mode_count - mode - 1))
 
 
 def annihilation_op(space: FockSpace, mode: int = 0) -> np.ndarray:
@@ -257,18 +259,11 @@ def thermal_state(space: FockSpace, nbar: float) -> QuantumState:
 def fermionic_mode_ops(mode_count: int) -> tuple[list[np.ndarray], FockSpace]:
     """Fermionic lowering operators via signed (Jordan-Wigner) tensor products.
 
-    Each mode is two-dimensional; mode j carries parity factors on all modes
-    before it, which makes the anticommutation relations hold exactly:
-    {c_i, c_j*} = delta_ij and {c_i, c_j} = 0.
+    Each mode is two-dimensional; mode j is embedded as a bosonic mode, with the
+    parity diag(1, -1) instead of the identity on every mode before it, so the
+    anticommutation relations hold exactly: {c_i, c_j*} = delta_ij and {c_i, c_j} = 0.
     """
-    if mode_count < 1:
-        raise ValueError(f"mode_count must be at least 1, got {mode_count}")
     space = FockSpace(cutoff=2, mode_count=mode_count)
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    lower = _single_mode_annihilation(2)
     parity = np.diag([1.0, -1.0]).astype(complex)
-    eye2 = np.eye(2, dtype=complex)
-    ops = []
-    for j in range(mode_count):
-        factors = [parity] * j + [lower] + [eye2] * (mode_count - j - 1)
-        ops.append(tensor_product(*factors))
-    return ops, space
+    return [_embed(lower, space, j, left=parity) for j in range(mode_count)], space

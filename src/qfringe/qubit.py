@@ -87,6 +87,8 @@ class SecondQuantizedPauli:
     def __post_init__(self):
         names = ("sigma_x", "sigma_y", "sigma_z")
         ops = [(name, checked_operator(getattr(self, name), name)) for name in names]
+        if len({op.shape for _, op in ops}) != 1:
+            raise ValueError("all Pauli operators must share one dimension")
         n_total = _total_number_diagonal(ops[0][1].shape[0])
         for name, op in ops:
             # [op, N] from the diagonal N: the same terms the dense products give.

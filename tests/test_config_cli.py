@@ -62,17 +62,24 @@ def test_invalid_n_points_names_field():
     assert "scan.n_points" in str(excinfo.value)
 
 
-def test_unknown_key_suggests_neighbor():
+@pytest.mark.parametrize(
+    "typo, hint",
+    [("slitz", True), ("slit", True), ("slitss", True), ("sltz", False)],
+    ids=["substitution", "deletion", "insertion", "two_edits"],
+)
+def test_unknown_key_suggests_neighbor(typo, hint):
+    # One edit from a known key gets a hint; two edits get none.
     payload = {
         "experiment": "fringe",
-        "geometry": {"slitz": [-5e-6, 5e-6], "screen_z": 1.0, "wavelength": 500e-9},
+        "geometry": {typo: [-5e-6, 5e-6], "screen_z": 1.0, "wavelength": 500e-9},
         "scan": {"x_min": -0.01, "x_max": 0.01, "n_points": 3},
     }
     with pytest.raises(ConfigError) as excinfo:
         parse_config(json.dumps(payload))
     message = str(excinfo.value)
-    assert "slitz" in message
-    assert "did you mean 'slits'?" in message
+    assert f"unknown key 'geometry.{typo}'" in message
+    assert ("did you mean 'slits'?" in message) is hint
+    assert ("did you mean" in message) is hint
 
 
 def test_unknown_top_level_key():
@@ -405,6 +412,27 @@ def test_cli_verify_nan_deviation_is_a_failed_check(tmp_path, monkeypatch):
     payload = {"experiment": "verify", "output": {"path": str(out), "format": "csv"}}
     assert main(["--config", write_config(tmp_path, payload)]) == 1
     assert out.read_text() == "check,max_deviation,tolerance,pass\nnan_check,nan,1e-10,false\n"
+
+
+def test_cli_verify_raising_check_is_a_failed_row(tmp_path, monkeypatch):
+    # A check that raises fails its own row; the other rows run and the report is written.
+    from qfringe import oracle
+
+    def broken(_rng):
+        raise ValueError("density matrix must be positive semidefinite")
+
+    checks = tuple(
+        (name, tol, broken if name == "thermal_occupation" else check) for name, tol, check in oracle.CHECKS
+    )
+    monkeypatch.setattr(oracle, "CHECKS", checks)
+    out = tmp_path / "verify.json"
+    payload = {"experiment": "verify", "output": {"path": str(out), "format": "json"}}
+    assert main(["--config", write_config(tmp_path, payload)]) == 1
+    report = json.loads(out.read_text())
+    failed = [(row["check"], row["max_deviation"]) for row in report["checks"] if not row["pass"]]
+    assert failed == [("thermal_occupation", None)]
+    assert len(report["checks"]) == len(checks)
+    assert report["all_pass"] is False
 
 
 def test_cli_verify_json_writes_null_for_non_finite_deviation(tmp_path, monkeypatch):

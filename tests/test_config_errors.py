@@ -266,7 +266,7 @@ def test_far_field_guard_accepts_every_benchmark_far_field_run(monkeypatch):
 def _mpmath_far_field_law(geometry, x):
     """(1 + cos(k (r_0 - r_1))) / 2 at 50 digits, from the same float inputs."""
     with mpmath.workdps(50):
-        (a0, _), (a1, _) = geometry.slits
+        a0, a1 = geometry.slits
         x, z, k = mpmath.mpf(x), mpmath.mpf(geometry.screen_z), mpmath.mpf(geometry.k)
         r0, r1 = (mpmath.sqrt((x - mpmath.mpf(a)) ** 2 + z**2) for a in (a0, a1))
         return float((1 + mpmath.cos(k * (r0 - r1))) / 2)

@@ -313,3 +313,25 @@ def test_fermionic_three_modes_mixed_pairs():
         for j in range(i + 1, 3):
             assert np.all(anticommutator(ops[i], ops[j]) == 0.0)
             assert np.all(anticommutator(ops[i], dagger(ops[j])) == 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fermionic_modes_are_parity_signed_kronecker_products(n):
+    # The Jordan-Wigner string written out factor by factor, signed zeros included.
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    parity = np.diag([1.0, -1.0]).astype(complex)
+    eye2 = np.eye(2, dtype=complex)
+    ops, space = fermionic_mode_ops(n)
+    assert space == FockSpace(cutoff=2, mode_count=n)
+    for j, op in enumerate(ops):
+        want = tensor_product(*([parity] * j + [lower] + [eye2] * (n - j - 1)))
+        assert np.array_equal(op, want)
+        assert np.array_equal(np.signbit(op.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(op.imag), np.signbit(want.imag))
+
+
+def test_fermionic_mode_count_checked_by_fock_space():
+    with pytest.raises(ValueError, match="mode_count must be at least 1, got 0"):
+        fermionic_mode_ops(0)
+    with pytest.raises(ValueError, match="mode_count must be an integer"):
+        fermionic_mode_ops(0.5)

@@ -149,7 +149,7 @@ def test_mirrored_geometry_gives_the_same_transfer(scan):
     geom, half_width = scan
     xs = np.linspace(-half_width, half_width, 51)
     sx, sz = geom.source
-    mirror = SlitGeometry((-sx, sz), [-x for x, _ in geom.slits], geom.screen_z, geom.k)
+    mirror = SlitGeometry((-sx, sz), [-x for x in geom.slits], geom.screen_z, geom.k)
     forward = transfer_coefficients(geom, xs)
     assert np.max(np.abs(forward - transfer_coefficients(mirror, -xs))) <= 1e-12 * np.abs(forward).max()
 
@@ -170,7 +170,7 @@ def test_intensity_is_linear_in_state_mixtures(scan, pure, nbar, p):
 
 def far_field_point(geom, x):
     """The far-field law at one point in scalar math, as the per-point loop computed it."""
-    (a0, _), (a1, _) = geom.slits
+    a0, a1 = geom.slits
     x = float(x)
     r0 = math.sqrt((x - a0) ** 2 + geom.screen_z**2)
     r1 = math.sqrt((x - a1) ** 2 + geom.screen_z**2)

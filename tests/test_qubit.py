@@ -523,6 +523,12 @@ def test_pauli_set_validation_rejects_non_product_dimension():
         SecondQuantizedPauli(sigma_x=eye, sigma_y=eye, sigma_z=eye)
 
 
+def test_pauli_set_validation_rejects_mixed_dimensions():
+    c2, c3 = pauli_set(QubitModelParams(omega=1.0, cutoff=2)), pauli_set(QubitModelParams(omega=1.0, cutoff=3))
+    with pytest.raises(ValueError, match="all Pauli operators must share one dimension"):
+        SecondQuantizedPauli(sigma_x=c2.sigma_x, sigma_y=c3.sigma_y, sigma_z=c2.sigma_z)
+
+
 def test_quadrature_set_validation():
     eye = np.eye(4, dtype=complex)
     with pytest.raises(ValueError):
