@@ -13,6 +13,7 @@ deterministic, so repeated verification runs produce identical reports.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,8 @@ def _shared_excitation_fringe(geom: diffraction.SlitGeometry, x_detector, modes)
         raise ValueError(f"the slit-mode model requires exactly 2 slits, got {geom.slit_count}")
     psi = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
     xs = np.atleast_1d(np.asarray(x_detector, dtype=float))
-    _, r = diffraction.path_lengths(geom, xs)  # the far-field law's legs
+    # Own legs, a reference for path_lengths: float_power (C pow) rounds them alike.
+    r = np.sqrt(np.float_power(xs[:, None] - np.array(geom.slits), 2) + geom.screen_z**2)
     zero = np.any(r == 0.0, axis=1)
     if np.any(zero):
         raise diffraction.DegenerateGeometryError(
@@ -391,15 +393,16 @@ CHECKS = (
 )
 
 
-def _deviation(check, rng: np.random.Generator) -> float:
-    """The check's deviation; NaN, a failed row, when the check raises."""
+def _deviation(name: str, check, rng: np.random.Generator) -> float:
+    """The check's deviation; NaN, a failed row, when the check raises (cause on stderr)."""
     try:
         return check(rng)
-    except Exception:
+    except Exception as exc:
+        print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return math.nan
 
 
 def run_verification_suite() -> list[VerificationCheck]:
     """Run every check in `CHECKS`, in table order, on one generator seeded once."""
     rng = np.random.default_rng(_SUITE_SEED)
-    return [_check(name, _deviation(check, rng), tolerance) for name, tolerance, check in CHECKS]
+    return [_check(name, _deviation(name, check, rng), tolerance) for name, tolerance, check in CHECKS]

@@ -414,8 +414,9 @@ def test_cli_verify_nan_deviation_is_a_failed_check(tmp_path, monkeypatch):
     assert out.read_text() == "check,max_deviation,tolerance,pass\nnan_check,nan,1e-10,false\n"
 
 
-def test_cli_verify_raising_check_is_a_failed_row(tmp_path, monkeypatch):
-    # A check that raises fails its own row; the other rows run and the report is written.
+def test_cli_verify_raising_check_is_a_failed_row(tmp_path, monkeypatch, capsys):
+    # A check that raises fails its own row and names its cause on stderr; the other
+    # rows run and the report is written.
     from qfringe import oracle
 
     def broken(_rng):
@@ -433,6 +434,9 @@ def test_cli_verify_raising_check_is_a_failed_row(tmp_path, monkeypatch):
     assert failed == [("thermal_occupation", None)]
     assert len(report["checks"]) == len(checks)
     assert report["all_pass"] is False
+    assert capsys.readouterr().err == (
+        "thermal_occupation: ValueError: density matrix must be positive semidefinite\n"
+    )
 
 
 def test_cli_verify_json_writes_null_for_non_finite_deviation(tmp_path, monkeypatch):

@@ -1,10 +1,10 @@
 """Check that two source trees write the same CLI outputs for the benchmark workloads.
 
-    python tools/same_outputs.py OLD_SRC NEW_SRC [--seeds 1 2] [--workload NAME ...]
+    python tools/same_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold a `qfringe` package, such as the
 `src` of two checkouts. The invocations come from `perfbench/workloads.py`
-(read, not changed), for each chosen workload (default: all) at each seed.
+(read, not changed): every workload at seeds 1 and 2.
 Every invocation runs as `python -m qfringe --config ... --output ... [flags]`
 once against each tree, the two side by side, each in a run directory of its
 own, with one BLAS thread and no bytecode written. The exit code, standard
@@ -25,6 +25,7 @@ from pathlib import Path
 
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SIDES = ("old", "new")
+SEEDS = (1, 2)
 
 
 def load_workloads():
@@ -84,23 +85,20 @@ def compare(srcs: dict, invocations, work: Path) -> list[str]:
     return differences
 
 
-def main(argv=None) -> int:
+def main() -> int:
     workloads = load_workloads()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", help="source tree holding the reference qfringe package")
     parser.add_argument("new_src", help="source tree holding the qfringe package under test")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    names = list(workloads.WORKLOADS)
-    parser.add_argument("--workload", nargs="+", choices=names, default=names)
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     srcs = dict(zip(SIDES, (os.path.abspath(args.old_src), os.path.abspath(args.new_src))))
     for src in srcs.values():
         if not os.path.isfile(os.path.join(src, "qfringe", "__init__.py")):
             parser.error(f"no qfringe package under {src}")
     invocations = [
         (f"{name} seed {seed}", invocation)
-        for name in args.workload
-        for seed in args.seeds
+        for name in workloads.WORKLOADS
+        for seed in SEEDS
         for invocation in workloads.generate(name, seed)
     ]
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as work:
