@@ -38,16 +38,24 @@ from .fock import (
 _SUITE_SEED = 20260809
 
 
-def unitary_evolution(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) via eigendecomposition of the Hermitian H."""
-    h = checked_operator(h, "Hamiltonian")
-    evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(-1j * evals * float(t))) @ evecs.conj().T
+def _eigen_phases(h: np.ndarray, t):
+    """H's eigenvectors and the phases exp(-i E_j t), of shape t.shape + (dim,)."""
+    times = np.asarray(t, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("t must be finite")
+    evals, evecs = np.linalg.eigh(checked_operator(h, "Hamiltonian"))
+    return evecs, np.exp(-1j * np.multiply.outer(times, evals))
+
+
+def unitary_evolution(h: np.ndarray, t) -> np.ndarray:
+    """exp(-i H t) by one eigh of H; for an array `t`, a stack of shape t.shape + (dim, dim)."""
+    evecs, phases = _eigen_phases(h, t)
+    return (evecs * phases[..., None, :]) @ evecs.conj().T
 
 
 def schrodinger_evolve(state: QuantumState, h: np.ndarray, t: float) -> QuantumState:
     """Evolve a pure or mixed state by exp(-i H t)."""
-    u = unitary_evolution(h, t)
+    u = unitary_evolution(h, float(t))
     if state.kind == "pure":
         return QuantumState("pure", u @ state.data, lost_weight=state.lost_weight)
     return QuantumState(
@@ -55,9 +63,9 @@ def schrodinger_evolve(state: QuantumState, h: np.ndarray, t: float) -> QuantumS
     )
 
 
-def heisenberg_conjugate(op: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
+def heisenberg_conjugate(op: np.ndarray, h: np.ndarray, t) -> np.ndarray:
     u = unitary_evolution(h, t)
-    return u.conj().T @ np.asarray(op, dtype=complex) @ u
+    return np.swapaxes(u.conj(), -1, -2) @ np.asarray(op, dtype=complex) @ u
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -148,13 +156,11 @@ def transition_probability_oracle(params: qubit.QubitModelParams, t):
     that shape). H and its eigendecomposition are built once per call; each time
     then costs O(dim): <-|exp(-i H t)|+> = sum_j <-|v_j> exp(-i E_j t) <v_j|+>.
     """
-    evals, evecs = np.linalg.eigh(checked_operator(qubit.hamiltonian(params), "Hamiltonian"))
+    evecs, phases = _eigen_phases(qubit.hamiltonian(params), t)
     weights = (qubit.minus_state(params).data.conj() @ evecs) * (
         evecs.conj().T @ qubit.plus_state(params).data
     )
-    times = np.asarray(t, dtype=float)
-    amps = np.exp(-1j * np.multiply.outer(times, evals)) @ weights
-    values = np.abs(amps) ** 2
+    values = np.abs(phases @ weights) ** 2
     return float(values) if values.ndim == 0 else values
 
 
@@ -167,18 +173,14 @@ def amplitude_variation_check(
     against the generator form -i <bra|H exp(-iH(t2-t1))|ket>; the residual
     scales as eps^2.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    h = checked_operator(h, "Hamiltonian")
     bra = np.asarray(bra, dtype=complex)
     ket = np.asarray(ket, dtype=complex)
     tau = float(t2) - float(t1)
-
-    def amplitude(dt: float) -> complex:
-        return complex(np.vdot(bra, unitary_evolution(h, dt) @ ket))
-
-    finite_difference = (amplitude(tau + eps) - amplitude(tau - eps)) / (2.0 * eps)
-    generator = -1j * complex(np.vdot(bra, h @ (unitary_evolution(h, tau) @ ket)))
+    later, earlier, at_tau = (u @ ket for u in unitary_evolution(h, [tau + eps, tau - eps, tau]))
+    finite_difference = (complex(np.vdot(bra, later)) - complex(np.vdot(bra, earlier))) / (2.0 * eps)
+    generator = -1j * complex(np.vdot(bra, np.asarray(h, dtype=complex) @ at_tau))
     return abs(finite_difference - generator)
 
 
@@ -272,19 +274,18 @@ def _transition_probability_vs_schrodinger(_rng) -> float:
 
 def _pauli_rotation_vs_conjugation(_rng) -> float:
     h, base = qubit.hamiltonian(_PARAMS), qubit.pauli_set(_PARAMS)
+    times = np.array(_PHASES) / _PARAMS.omega
+    evolved = [qubit.pauli_evolved(_PARAMS, t) for t in times]
     deviations = []
-    for wt in _PHASES:
-        t = wt / _PARAMS.omega
-        evolved = qubit.pauli_evolved(_PARAMS, t)
-        for op, want in ((base.sigma_x, evolved.sigma_x), (base.sigma_y, evolved.sigma_y)):
-            deviations.append(np.max(np.abs(heisenberg_conjugate(op, h, t) - want)))
+    for name in ("sigma_x", "sigma_y"):
+        conjugated = heisenberg_conjugate(getattr(base, name), h, times)
+        deviations += [np.max(np.abs(u - getattr(e, name))) for u, e in zip(conjugated, evolved)]
     return np.max(deviations)
 
 
 def _sigma_z_conservation(_rng) -> float:
     h, sigma_z = qubit.hamiltonian(_PARAMS), qubit.pauli_set(_PARAMS).sigma_z
-    conjugated = (heisenberg_conjugate(sigma_z, h, wt / _PARAMS.omega) for wt in _PHASES)
-    return np.max([np.max(np.abs(z - sigma_z)) for z in conjugated])
+    return np.max(np.abs(heisenberg_conjugate(sigma_z, h, np.array(_PHASES) / _PARAMS.omega) - sigma_z))
 
 
 def _hamilton_derivative_vs_commutator(_rng) -> float:

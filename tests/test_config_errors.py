@@ -226,20 +226,40 @@ def test_parse_config_returns_a_run_config_or_raises_config_error(payload):
     assert isinstance(config, RunConfig)
 
 
-def _benchmark_workloads(monkeypatch):
-    """The benchmark's workload module, loaded by path and left as it is."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _benchmark_module(monkeypatch, name="workloads"):
+    """A module of the benchmark, loaded by path and left as it is."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses looks the module up
     spec.loader.exec_module(module)
     return module
 
 
+# The trace points that name no qfringe attribute any more; each reads 0 in its metric.
+DEAD_TRACE_POINTS = {
+    "qfringe.runner.single_photon_fringe",
+    "qfringe.runner.build_source_state",
+    "qfringe.diffraction.csv_text",
+    "qfringe.diffraction.json_document",
+    "qfringe.oracle.json_document",
+}
+
+
+def test_no_further_benchmark_trace_point_is_dead(monkeypatch):
+    # Read the table without installing it: installing would wrap qfringe's attributes.
+    dead = {
+        f"{module}.{attribute}"
+        for module, attribute, _, _ in _benchmark_module(monkeypatch, "tracing").TRACE_POINTS
+        if not callable(getattr(importlib.import_module(module), attribute, None))
+    }
+    assert dead == DEAD_TRACE_POINTS
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("workload", ["screen_scan", "qubit_curve", "cli_sweep"])
 def test_benchmark_invocations_parse(monkeypatch, workload, seed):
-    for invocation in _benchmark_workloads(monkeypatch).generate(workload, seed):
+    for invocation in _benchmark_module(monkeypatch).generate(workload, seed):
         config = parse_config(invocation.text, far_field=invocation.far_field)
         assert config.experiment == invocation.kind
 
@@ -250,7 +270,7 @@ def test_far_field_guard_accepts_every_benchmark_far_field_run(monkeypatch):
     # phase rounding k * max r * 2**-53 stays below 4.2e-9. Its slits (d at most 1.4
     # pitches) and scans (x / L at most 4.4 wavelengths per pitch) keep 1 - v, about
     # d**2 x**2 / (2 r**4), below (6.16 x 700 nm)**2 / (2 (0.5 m)**2) = 3.7e-11.
-    module = _benchmark_workloads(monkeypatch)
+    module = _benchmark_module(monkeypatch)
     runs = [
         inv
         for seed in range(1, 21)
@@ -300,7 +320,7 @@ def test_accepted_far_field_compare_stays_within_tolerance_of_mpmath_law(tmp_pat
 @pytest.mark.parametrize("workload", ["qubit_curve", "cli_sweep"])
 def test_benchmark_qubit_runs_write_the_same_bytes_at_cutoff_2(tmp_path, monkeypatch, workload, seed):
     invocations = [
-        inv for inv in _benchmark_workloads(monkeypatch).generate(workload, seed) if inv.kind == "qubit"
+        inv for inv in _benchmark_module(monkeypatch).generate(workload, seed) if inv.kind == "qubit"
     ]
     assert invocations
     for inv in invocations:

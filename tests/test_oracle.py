@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qfringe
 from qfringe import (
@@ -80,6 +82,60 @@ def test_evolution_rejects_non_finite_hamiltonian(bad):
     h = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError, match="finite"):
         unitary_evolution(h, 1.0)
+
+
+_QUBIT = QuantumState("pure", np.array([1.0, 0.0], dtype=complex))
+_FLIP = np.diag([0.5, -0.5])
+
+
+@pytest.mark.parametrize(
+    "evolve",
+    [
+        lambda: unitary_evolution(_FLIP, [0.0, math.nan]),
+        lambda: heisenberg_conjugate(_FLIP, _FLIP, -math.inf),
+        lambda: schrodinger_evolve(_QUBIT, _FLIP, math.nan),
+        lambda: transition_probability_oracle(QubitModelParams(omega=1.0, cutoff=2), math.nan),
+        lambda: amplitude_variation_check(_QUBIT.data, _QUBIT.data, _FLIP, 0.0, math.inf, 1e-3),
+    ],
+    ids=["unitary_nan", "conjugate_inf", "schrodinger_nan", "transition_nan", "amplitude_inf_t2"],
+)
+def test_evolution_rejects_non_finite_time(evolve):
+    # A non-finite time used to give NaN propagators, or an error about the state.
+    with pytest.raises(ValueError, match="t must be finite"):
+        evolve()
+
+
+@st.composite
+def hermitian_matrices(draw):
+    dim = draw(st.integers(1, 6))
+    parts = draw(st.lists(st.floats(-5.0, 5.0), min_size=2 * dim * dim, max_size=2 * dim * dim))
+    m = np.array(parts[: dim * dim]).reshape(dim, dim) + 1j * np.array(parts[dim * dim :]).reshape(dim, dim)
+    return (m + m.conj().T) / 2.0
+
+
+def _same_bits(a, b):
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    hermitian_matrices(),
+    st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.7, -1.5]), st.floats(-20.0, 20.0)), min_size=1, max_size=5),
+)
+@example(np.diag([0.5, -0.5]), [0.0, -1.5, 0.7, -1.5])
+def test_stacked_propagators_equal_scalar_calls(h, times):
+    op = np.arange(h.size).reshape(h.shape) * (1.0 - 0.5j)
+    stack, conjugated = unitary_evolution(h, times), heisenberg_conjugate(op, h, times)
+    assert stack.shape == conjugated.shape == (len(times), *h.shape)
+    for i, t in enumerate(times):
+        single = unitary_evolution(h, t)
+        assert single.shape == h.shape
+        assert _same_bits(stack[i], single)
+        assert _same_bits(conjugated[i], heisenberg_conjugate(op, h, t))
 
 
 def test_mixed_state_evolution_preserves_trace():
@@ -275,6 +331,8 @@ def test_amplitude_variation_eps_validation():
     ket = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(ValueError):
         amplitude_variation_check(ket, ket, np.zeros((2, 2)), 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        amplitude_variation_check(ket, ket, np.zeros((2, 2)), 0.0, 1.0, math.nan)
 
 
 def test_verification_suite_all_pass():
@@ -330,34 +388,41 @@ def test_registered_check_passes_alone(name, tolerance, check):
     assert deviation <= tolerance, f"{name}: {deviation} > {tolerance}"
 
 
-def _nan_at_call(fn, call):
-    """`fn`, except that its `call`-th call (counting from 1) returns its result times NaN."""
+def _nan_at_call(fn, call, index):
+    """`fn`, except that its `call`-th call (counting from 1) returns its result times NaN,
+    or only slice `index` of it when `index` is not None."""
     calls = itertools.count(1)
 
     def wrapped(*args, **kwargs):
         result = fn(*args, **kwargs)
-        return result * math.nan if next(calls) == call else result
+        if next(calls) != call:
+            return result
+        if index is None:
+            return result * math.nan
+        result[index] *= math.nan
+        return result
 
     return wrapped
 
 
-# (check, the oracle function whose result turns NaN, at which call). The NaN is never
-# the first deviation folded, which even a fold that drops NaN keeps.
+# (check, the oracle function whose result turns NaN, at which call, which slice of a
+# stacked result or None for all of it). The NaN is never the first deviation folded,
+# which even a fold that drops NaN keeps.
 NAN_DEVIATIONS = [
-    ("picture_equivalence", "picture_equivalence_check", 2),
-    ("pauli_rotation_vs_conjugation", "heisenberg_conjugate", 2),
-    ("sigma_z_conservation", "heisenberg_conjugate", 2),
-    ("amplitude_variation_quadratic_scaling", "amplitude_variation_check", 3),
-    ("coherent_occupation", "expectation", 2),
-    ("fermionic_car_exactness", "anticommutator", 2),
+    ("picture_equivalence", "picture_equivalence_check", 2, None),
+    ("pauli_rotation_vs_conjugation", "heisenberg_conjugate", 2, None),
+    ("sigma_z_conservation", "heisenberg_conjugate", 1, 2),
+    ("amplitude_variation_quadratic_scaling", "amplitude_variation_check", 3, None),
+    ("coherent_occupation", "expectation", 2, None),
+    ("fermionic_car_exactness", "anticommutator", 2, None),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, function, call", NAN_DEVIATIONS, ids=[case[0] for case in NAN_DEVIATIONS]
+    "name, function, call, index", NAN_DEVIATIONS, ids=[case[0] for case in NAN_DEVIATIONS]
 )
-def test_check_fails_on_a_later_nan_deviation(monkeypatch, name, function, call):
-    monkeypatch.setattr(oracle, function, _nan_at_call(getattr(oracle, function), call))
+def test_check_fails_on_a_later_nan_deviation(monkeypatch, name, function, call, index):
+    monkeypatch.setattr(oracle, function, _nan_at_call(getattr(oracle, function), call, index))
     tolerance, check = next((tol, fn) for row, tol, fn in oracle.CHECKS if row == name)
     result = oracle._check(name, check(np.random.default_rng(oracle._SUITE_SEED)), tolerance)
     assert math.isnan(result.max_deviation)
