@@ -291,8 +291,8 @@ def _parse_scan(raw: dict, experiment: str, geometry: SlitGeometry | None) -> Sc
             )
         x_min = _field(raw, "scan", "x_min", _read_number)
         x_max = _field(raw, "scan", "x_max", _read_number)
-        if not x_max > x_min:
-            raise ConfigError("scan.x_max must exceed scan.x_min", field="scan.x_max")
+        if not 0.0 < x_max - x_min < math.inf:
+            raise ConfigError("scan.x_max must exceed scan.x_min by a finite width", field="scan.x_max")
         return ScanSpec(n_points=n_points, x_min=x_min, x_max=x_max)
     if "x_min" in raw or "x_max" in raw:
         raise ConfigError("scan.x_min/x_max do not apply to the qubit experiment", field="scan.x_min")
@@ -328,7 +328,7 @@ def _check_far_field_range(geometry: SlitGeometry, scan: ScanSpec) -> None:
         _, r = path_lengths(geometry, np.linspace(scan.x_min, scan.x_max, scan.n_points))
         if not r.all():  # a zero-length leg: the run reports the degenerate geometry (exit 4)
             return
-        r0, r1 = r[:, 0], r[:, 1]
+        r0, r1 = r[..., 0], r[..., 1]
         bounds = (
             ("phase rounding k * max r * 2**-53", geometry.k * r.max() * 2.0**-53),
             ("dropped 1/r weights max(1 - v)", np.max(1.0 - 2.0 * r0 * r1 / (r0**2 + r1**2))),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, QuantumState, fock_state
+from .fock import FockSpace, QuantumState, checked_int, checked_values, fock_state
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -32,8 +32,8 @@ class DegenerateGeometryError(RuntimeError):
 
 
 def wavenumber(wavelength: float) -> float:
-    if wavelength <= 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    if not (0.0 < wavelength < math.inf and 2.0 * math.pi / wavelength < math.inf):
+        raise ValueError(f"wavelength must be positive and finite, with a finite k, got {wavelength}")
     return 2.0 * math.pi / wavelength
 
 
@@ -82,46 +82,48 @@ class SlitGeometry:
 def path_lengths(geom: SlitGeometry, x_detector) -> tuple[np.ndarray, np.ndarray]:
     """Exact distances source -> slit_j and slit_j -> (x_detector, screen_z).
 
-    s has shape (slits,), r has shape np.shape(x_detector) + (slits,). Squares go
-    through np.float_power (C pow, as Python's **), so every leg rounds the same
-    whether the points come one at a time or as an array. The far-field law, the
-    far-field guard and the slit-mode oracle all take their legs from here.
+    s has shape (slits,), r has shape np.shape(x_detector) + (slits,): every screen kernel
+    keeps the slits on the last axis. Squares go through np.float_power (C pow, as
+    Python's **), so every leg rounds the same whether the points come one at a time or
+    as an array. The far-field law and the far-field guard take their legs from here.
     """
     sx, sz = geom.source
     a = np.array(geom.slits)
     s = np.sqrt(np.float_power(a - sx, 2) + sz**2)
-    x = np.asarray(x_detector, dtype=float)[..., None]
+    x = checked_values(x_detector, "x_detector")[..., None]
     r = np.sqrt(np.float_power(x - a, 2) + geom.screen_z**2)
     return s, r
 
 
-def transfer_coefficients(geom: SlitGeometry, xs) -> np.ndarray:
+def transfer_coefficients(geom: SlitGeometry, xs) -> np.ndarray | complex:
     """Complex transfer coefficient sum_j exp(ik(s_j + r_j)) / (s_j r_j) at each point.
 
-    One (points, slits) broadcast. Slit 0's phase is a common factor; leg differences
-    from slit 0 avoid cancellation:
+    One (points..., slits) broadcast, a complex for a scalar point. Slit 0's phase is a
+    common factor; leg differences from slit 0 avoid cancellation:
     r_j - r_0 = (a_0 - a_j)(2x - a_j - a_0) / (r_j + r_0), s_j - s_0 likewise.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    xs = checked_values(xs, "x_detector")
     sx, sz = geom.source
     a = np.array(geom.slits)
-    x = xs[:, None]
+    x = xs[..., None]
     s = np.sqrt((a - sx) ** 2 + sz**2)
     r = np.sqrt((x - a) ** 2 + geom.screen_z**2)
-    zero = np.any((r == 0.0) | (s == 0.0), axis=1)
+    zero = np.any((r == 0.0) | (s == 0.0), axis=-1)
     if np.any(zero):
         raise DegenerateGeometryError(f"zero-length propagation leg at x_detector = {xs[zero][0]}")
     ds = (a - a[0]) * (a + a[0] - 2.0 * sx) / (s + s[0])
-    dr = (a[0] - a) * (2.0 * x - a - a[0]) / (r + r[:, :1])
-    terms = np.exp(1j * geom.k * (s[0] + r[:, :1])) * (np.exp(1j * geom.k * (ds + dr)) / (s * r))
-    return terms.sum(axis=1)
+    dr = (a[0] - a) * (2.0 * x - a - a[0]) / (r + r[..., :1])
+    terms = np.exp(1j * geom.k * (s[0] + r[..., :1])) * (np.exp(1j * geom.k * (ds + dr)) / (s * r))
+    values = terms.sum(axis=-1)
+    return complex(values) if values.ndim == 0 else values
 
 
 def intensity_expectation(state: QuantumState, geom: SlitGeometry, x_detector):
     """Mean occupation at the detector point(s): |transfer|^2 times source occupation."""
     weights = np.abs(state.data) ** 2 if state.kind == "pure" else state.data.diagonal().real
-    values = np.abs(transfer_coefficients(geom, x_detector)) ** 2 * (np.arange(state.dim) @ weights)
-    return float(values[0]) if np.ndim(x_detector) == 0 else values
+    # np.square, as an array's ** 2: a numpy scalar's ** 2 goes through pow() and may round apart.
+    values = np.square(np.abs(transfer_coefficients(geom, x_detector))) * (np.arange(state.dim) @ weights)
+    return float(values) if values.ndim == 0 else values
 
 
 def single_photon_fringe(geom: SlitGeometry, x_detector):
@@ -136,9 +138,9 @@ def single_photon_fringe(geom: SlitGeometry, x_detector):
     """
     if geom.slit_count != 2:
         raise ValueError(f"single_photon_fringe requires exactly 2 slits, got {geom.slit_count}")
-    _, r = path_lengths(geom, np.atleast_1d(np.asarray(x_detector, dtype=float)))
-    values = 0.5 * (1.0 + np.cos(geom.k * (r[:, 0] - r[:, 1])))
-    return float(values[0]) if np.ndim(x_detector) == 0 else values
+    _, r = path_lengths(geom, x_detector)
+    values = 0.5 * (1.0 + np.cos(geom.k * (r[..., 0] - r[..., 1])))
+    return float(values) if values.ndim == 0 else values
 
 
 @dataclass(frozen=True)
@@ -181,13 +183,13 @@ def fringe_scan(
     """
     if mode not in ("exact", "far_field"):
         raise ValueError(f"mode must be 'far_field' or 'exact', got {mode!r}")
-    if n_points < 2:
+    if checked_int(n_points, "n_points") < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")
-    if not x_max > x_min:
-        raise ValueError("x_max must exceed x_min")
+    if not 0.0 < x_max - x_min < math.inf:
+        raise ValueError("x_max must exceed x_min by a finite width")
     if state is None:
         state = fock_state(FockSpace(2), 1)
-    xs = np.linspace(float(x_min), float(x_max), int(n_points))
+    xs = np.linspace(float(x_min), float(x_max), n_points)
     raw = intensity_expectation(state, geom, xs)
     if mode == "exact":
         peak = raw.max()

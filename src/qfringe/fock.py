@@ -33,13 +33,8 @@ class FockSpace:
 
     def __post_init__(self):
         for name, least in (("cutoff", 2), ("mode_count", 1)):
-            value = getattr(self, name)
-            try:
-                operator.index(value)  # an int or numpy integer, not a float
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+            if checked_int(getattr(self, name), name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
     @property
     def dim(self) -> int:
@@ -53,7 +48,7 @@ class FockSpace:
             )
         idx = 0
         for n in occupations:
-            n = int(n)
+            n = checked_int(n, "occupations")
             if not 0 <= n < self.cutoff:
                 raise ValueError(f"occupation {n} outside [0, {self.cutoff - 1}]")
             idx = idx * self.cutoff + n
@@ -109,6 +104,22 @@ def checked_operator(op, name: str, hermitian: bool = True) -> np.ndarray:
     if hermitian and np.max(np.abs(op - op.conj().T)) > HERMITIAN_TOL:
         raise ValueError(f"{name} must be Hermitian")
     return op
+
+
+def checked_int(value, name: str) -> int:
+    """`value` as an int; a Python or numpy integer passes, a float or any other type raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def checked_values(values, name: str) -> np.ndarray:
+    """`values` (points or times) as a float array of their own shape, which must be finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    return values
 
 
 def _check_compatible(a: np.ndarray, b: np.ndarray) -> None:
@@ -209,8 +220,7 @@ def expectation(state: QuantumState, op: np.ndarray) -> complex:
 
 def fock_state(space: FockSpace, occupations) -> QuantumState:
     """Basis state |n> (single mode) or |n_0, ..., n_{M-1}> (multi-mode)."""
-    if isinstance(occupations, (int, np.integer)):
-        occupations = (int(occupations),)
+    occupations = (occupations,) if np.ndim(occupations) == 0 else occupations
     vec = np.zeros(space.dim, dtype=complex)
     vec[space.index(occupations)] = 1.0
     return QuantumState("pure", vec)

@@ -25,6 +25,7 @@ from .fock import (
     annihilation_op,
     anticommutator,
     checked_operator,
+    checked_values,
     coherent_state,
     commutator,
     creation_op,
@@ -40,9 +41,7 @@ _SUITE_SEED = 20260809
 
 def _eigen_phases(h: np.ndarray, t):
     """H's eigenvectors and the phases exp(-i E_j t), of shape t.shape + (dim,)."""
-    times = np.asarray(t, dtype=float)
-    if not np.isfinite(times).all():
-        raise ValueError("t must be finite")
+    times = checked_values(t, "t")
     evals, evecs = np.linalg.eigh(checked_operator(h, "Hamiltonian"))
     return evecs, np.exp(-1j * np.multiply.outer(times, evals))
 
@@ -114,10 +113,10 @@ def _shared_excitation_fringe(geom: diffraction.SlitGeometry, x_detector, modes)
     if geom.slit_count != 2:
         raise ValueError(f"the slit-mode model requires exactly 2 slits, got {geom.slit_count}")
     psi = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    xs = np.atleast_1d(np.asarray(x_detector, dtype=float))
+    xs = checked_values(x_detector, "x_detector")
     # Own legs, a reference for path_lengths: float_power (C pow) rounds them alike.
-    r = np.sqrt(np.float_power(xs[:, None] - np.array(geom.slits), 2) + geom.screen_z**2)
-    zero = np.any(r == 0.0, axis=1)
+    r = np.sqrt(np.float_power(xs[..., None] - np.array(geom.slits), 2) + geom.screen_z**2)
+    zero = np.any(r == 0.0, axis=-1)
     if np.any(zero):
         raise diffraction.DegenerateGeometryError(
             f"zero-length propagation leg at x_detector = {xs[zero][0]}"
@@ -126,12 +125,12 @@ def _shared_excitation_fringe(geom: diffraction.SlitGeometry, x_detector, modes)
     # the shortest leg keeps exp() arguments small, and measuring the legs in units of
     # the power of two at r_min keeps the norm from overflowing when a leg is tiny. A
     # power-of-two scale is exact, so the normalized weights round as unscaled ones do.
-    r_min = r.min(axis=1, keepdims=True)
+    r_min = r.min(axis=-1, keepdims=True)
     weights = np.exp(1j * geom.k * (r - r_min)) / np.ldexp(r, -np.frexp(r_min)[1])
-    weights /= np.sqrt(np.sum(np.abs(weights) ** 2, axis=1, keepdims=True))
-    detectors = np.einsum("nm,mij->nij", weights, np.stack(modes))
-    values = np.einsum("i,nji,njk,k->n", psi.conj(), detectors.conj(), detectors, psi).real
-    return float(values[0]) if np.ndim(x_detector) == 0 else values
+    weights /= np.sqrt(np.sum(np.abs(weights) ** 2, axis=-1, keepdims=True))
+    detectors = np.einsum("...m,mij->...ij", weights, np.stack(modes))
+    values = np.einsum("i,...ji,...jk,k->...", psi.conj(), detectors.conj(), detectors, psi).real
+    return float(values) if values.ndim == 0 else values
 
 
 def slit_mode_oracle(geom: diffraction.SlitGeometry, x_detector):
@@ -157,10 +156,10 @@ def transition_probability_oracle(params: qubit.QubitModelParams, t):
     then costs O(dim): <-|exp(-i H t)|+> = sum_j <-|v_j> exp(-i E_j t) <v_j|+>.
     """
     evecs, phases = _eigen_phases(qubit.hamiltonian(params), t)
-    weights = (qubit.minus_state(params).data.conj() @ evecs) * (
-        evecs.conj().T @ qubit.plus_state(params).data
-    )
-    values = np.abs(phases @ weights) ** 2
+    minus, plus = qubit.minus_state(params).data, qubit.plus_state(params).data
+    weights = (minus.conj() @ evecs) * (evecs.conj().T @ plus)
+    # Not `phases @ weights`: a matmul's row rounds by the row count, einsum's alike for every t.
+    values = np.square(np.abs(np.einsum("...j,j->...", phases, weights)))
     return float(values) if values.ndim == 0 else values
 
 
@@ -255,7 +254,7 @@ def _reciprocity_deviation(geom: diffraction.SlitGeometry, xs: np.ndarray) -> fl
     forward = diffraction.transfer_coefficients(geom, xs)
     (sx, sz), z = geom.source, geom.screen_z
     swapped = [
-        diffraction.transfer_coefficients(diffraction.SlitGeometry((x, -z), geom.slits, -sz, geom.k), sx)[0]
+        diffraction.transfer_coefficients(diffraction.SlitGeometry((x, -z), geom.slits, -sz, geom.k), sx)
         for x in xs
     ]
     return np.max(np.abs(forward - swapped)) / np.abs(forward).max()

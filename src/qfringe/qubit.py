@@ -37,6 +37,7 @@ from .fock import (
     QuantumState,
     annihilation_op,
     checked_operator,
+    checked_values,
     dagger,
     number_op,
     tensor_product,
@@ -382,9 +383,8 @@ def transition_probability(params: QubitModelParams, t):
     the dense products and the sums, so this equals the curve at `params.cutoff`
     bit for bit.
     """
-    phases = params.omega * np.asarray(t, dtype=float)
-    if not np.isfinite(phases).all():
-        raise ValueError("omega * t must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phase raises, unwarned
+        phases = checked_values(params.omega * np.asarray(t, dtype=float), "omega * t")
     sector = replace(params, cutoff=2)
     base, plus_vec = pauli_set(sector), plus_state(sector).data
     u, w = base.sigma_x @ plus_vec, base.sigma_y @ plus_vec

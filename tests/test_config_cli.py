@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,12 +35,26 @@ def write_config(tmp_path, payload, name="run_config.json"):
     return str(path)
 
 
-def run_cli_process(*args):
-    """`python -m qfringe ARGS` as its own process, importing this checkout's package."""
+def run_python(*args):
+    """`python ARGS` as its own process, importing this checkout's package."""
     paths = [SRC_DIR, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in paths if path))
-    command = [sys.executable, "-m", "qfringe", *args]
-    return subprocess.run(command, capture_output=True, text=True, env=env, check=False)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=False)
+
+
+def run_cli_process(*args):
+    """`python -m qfringe ARGS` as its own process, importing this checkout's package."""
+    return run_python("-m", "qfringe", *args)
+
+
+def test_readme_library_block_runs_without_warnings():
+    # -B: the fresh interpreter writes no bytecode into the checkout's src.
+    readme = (Path(SRC_DIR).parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    result = run_python("-B", "-W", "error", "-c", blocks[0])
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
 
 
 def test_minimal_fringe_config_round_trip():

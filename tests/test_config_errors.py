@@ -87,6 +87,7 @@ BAD_CONFIGS = [
     ("wavelength_negative", _with(FRINGE, "geometry", wavelength=-5e-7), "geometry.wavelength"),
     ("wavelength_zero", _with(FRINGE, "geometry", wavelength=0), "geometry.wavelength"),
     ("wavelength_string", _with(FRINGE, "geometry", wavelength="500nm"), "geometry.wavelength"),
+    ("wavelength_infinite_k", _with(FRINGE, "geometry", wavelength=1e-320), "geometry.wavelength"),
     ("wavelength_and_k", _with(FRINGE, "geometry", k=1.0), "geometry"),
     ("no_wavelength_or_k", _with(FRINGE, "geometry", wavelength=None), "geometry.wavelength"),
     ("k_negative", _with(FRINGE, "geometry", wavelength=None, k=-1.0), "geometry"),
@@ -109,6 +110,9 @@ BAD_CONFIGS = [
     ("n_points_one", _with(FRINGE, "scan", n_points=1), "scan.n_points"),
     ("no_x_max", _with(FRINGE, "scan", x_max=None), "scan.x_max"),
     ("x_max_below_x_min", _with(FRINGE, "scan", x_max=-0.03), "scan.x_max"),
+    # a width beyond the float range made NaN and infinite points (exit 4, or a far-field nan bound)
+    ("scan_width_overflow", _with(FRINGE, "scan", x_min=-1.7e308, x_max=1.7e308), "scan.x_max"),
+    ("scan_width_overflow_far_field", (_with(FRINGE, "scan", x_min=-1.7e308, x_max=1.7e308), FAR_FIELD), "scan.x_max"),
     ("fringe_t_max", _with(FRINGE, "scan", t_max=1.0), "scan.t_max"),
     ("qubit_no_t_max", _with(QUBIT, "scan", t_max=None), "scan.t_max"),
     ("qubit_t_max_negative", _with(QUBIT, "scan", t_max=-1.0), "scan.t_max"),

@@ -225,6 +225,19 @@ def test_fock_state_multimode_and_errors():
         fock_state(FockSpace(4), 4)
 
 
+@pytest.mark.parametrize("occupations", [(1.7,), 1.5, (np.float64(2.0),), ("1",)])
+def test_fock_state_rejects_non_integral_occupations(occupations):
+    # int(1.7) used to give |1> silently, and a bare float failed on len().
+    with pytest.raises(ValueError, match="occupations must be an integer"):
+        fock_state(FockSpace(4), occupations)
+
+
+def test_fock_state_accepts_numpy_integers():
+    expected = fock_state(FockSpace(4), 2).data
+    for occupations in (np.int64(2), (np.int32(2),), np.array(2), np.array([2])):
+        assert np.array_equal(fock_state(FockSpace(4), occupations).data, expected)
+
+
 def test_coherent_vacuum_limit():
     state = coherent_state(FockSpace(8), 0.0)
     assert np.array_equal(state.data, fock_state(FockSpace(8), 0).data)

@@ -26,6 +26,7 @@ from qfringe import (
     fringe_scan,
     integrate_quadratures,
     intensity_expectation,
+    path_lengths,
     plus_state,
     quadratures,
     single_photon_fringe,
@@ -33,6 +34,7 @@ from qfringe import (
     thermal_state,
     transfer_coefficients,
     transition_probability,
+    transition_probability_oracle,
     wavenumber,
 )
 from qfringe.oracle import _expm
@@ -121,7 +123,7 @@ def test_transfer_is_reciprocal_in_source_and_detector(scan):
     forward = transfer_coefficients(geom, xs)
     sx, sz = geom.source
     swapped = [
-        transfer_coefficients(SlitGeometry((x, -geom.screen_z), geom.slits, -sz, geom.k), sx)[0]
+        transfer_coefficients(SlitGeometry((x, -geom.screen_z), geom.slits, -sz, geom.k), sx)
         for x in xs
     ]
     assert np.max(np.abs(forward - swapped)) <= 1e-12 * np.abs(forward).max()
@@ -190,6 +192,60 @@ def test_batched_slit_mode_oracle_matches_points_and_far_field_law(scan):
     assert np.array_equal(far_field, [single_photon_fringe(geom, x) for x in xs])
     assert np.array_equal(far_field, [far_field_point(geom, x) for x in xs])
     assert np.max(np.abs(fermionic_fringe(geom, xs) - batched)) <= 1e-10
+
+
+# One shape rule for every point and time kernel: the result has the shape of the
+# points or times (path_lengths' r adds the slit axis last), a scalar gives a Python
+# scalar equal bit for bit to its element, and a NaN or infinite input raises.
+_PURE = fock_state(FockSpace(CUTOFF), 3)
+_MIXED = thermal_state(FockSpace(CUTOFF), 0.7)
+# name -> (kernel, type of its result for a scalar input, inputs: "slits", "two_slits" or "times")
+SHAPE_KERNELS = {
+    "path_lengths_r": (lambda geom, x: path_lengths(geom, x)[1], np.ndarray, "slits"),
+    "transfer_coefficients": (transfer_coefficients, complex, "slits"),
+    "intensity_pure": (lambda geom, x: intensity_expectation(_PURE, geom, x), float, "slits"),
+    "intensity_mixed": (lambda geom, x: intensity_expectation(_MIXED, geom, x), float, "slits"),
+    "single_photon_fringe": (single_photon_fringe, float, "two_slits"),
+    "slit_mode_oracle": (slit_mode_oracle, float, "two_slits"),
+    "fermionic_fringe": (fermionic_fringe, float, "two_slits"),
+    "transition_probability": (transition_probability, float, "times"),
+    "transition_probability_oracle": (transition_probability_oracle, float, "times"),
+}
+GRID_SHAPES = st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(lambda shape: math.prod(shape) <= 60)
+
+
+@st.composite
+def kernel_inputs(draw, inputs):
+    """Geometry (2-16 slits, or 2) or qubit parameters, and a grid of 1-3 dims, up to 60 points."""
+    shape = tuple(draw(GRID_SHAPES))
+    if inputs == "times":
+        params = QubitModelParams(omega=draw(st.floats(-20.0, 20.0)), cutoff=draw(st.integers(2, 4)))
+        return params, np.linspace(0.0, draw(st.floats(0.1, 50.0)), math.prod(shape)).reshape(shape)
+    slit_counts = st.just(2) if inputs == "two_slits" else st.integers(2, 16)
+    geom, half_width = draw(slit_scans(slit_counts=slit_counts))
+    return geom, np.linspace(-half_width, half_width, math.prod(shape)).reshape(shape)
+
+
+@pytest.mark.parametrize("name", SHAPE_KERNELS)
+@PROPERTY
+@given(data=st.data())
+def test_kernels_take_points_and_times_of_any_shape(name, data):
+    kernel, scalar_type, inputs = SHAPE_KERNELS[name]
+    subject, grid = data.draw(kernel_inputs(inputs))
+    result = kernel(subject, grid)
+    assert result.shape == grid.shape + result.shape[grid.ndim:]
+    assert result.shape[grid.ndim:] == ((subject.slit_count,) if name == "path_lengths_r" else ())
+    assert np.array_equal(result, kernel(subject, grid.ravel()).reshape(result.shape))
+    for index in np.ndindex(grid.shape):
+        scalar = kernel(subject, float(grid[index]))
+        assert type(scalar) is scalar_type
+        assert np.array_equal(scalar, result[index])
+    bad_value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    bad = grid.copy()
+    bad[data.draw(st.tuples(*(st.integers(0, n - 1) for n in grid.shape)))] = bad_value
+    for non_finite in (bad, bad_value):
+        with pytest.raises(ValueError, match="must be finite"):
+            kernel(subject, non_finite)
 
 
 @PROPERTY

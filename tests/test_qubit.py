@@ -419,6 +419,15 @@ def test_transition_probability_array_equals_scalar_calls():
         assert isinstance(transition_probability(params, times[5]), float)
 
 
+@pytest.mark.parametrize("omega, t", [(0.0, math.inf), (1.0, math.nan), (1e300, 1e10), (1e300, [0.0, 1e10])])
+def test_transition_probability_rejects_a_non_finite_phase_unwarned(omega, t):
+    # 0 * inf and an overflowing product used to warn before the error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"omega \* t must be finite"):
+            transition_probability(QubitModelParams(omega=omega, cutoff=2), t)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.floats(-20.0, 20.0), st.lists(st.floats(0.0, 1e4), max_size=12), st.integers(2, 8))
 def test_transition_probability_equals_per_point_reference(omega, times, cutoff):
