@@ -231,6 +231,8 @@ def coherent_state(space: FockSpace, alpha: complex) -> QuantumState:
     if space.mode_count != 1:
         raise ValueError("coherent_state is defined for a single mode")
     alpha = complex(alpha)
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     amps = np.zeros(space.cutoff, dtype=complex)
     try:
         term = complex(math.exp(-abs(alpha) ** 2 / 2.0))
@@ -254,6 +256,8 @@ def thermal_state(space: FockSpace, nbar: float) -> QuantumState:
     nbar = float(nbar)
     if nbar < 0.0:
         raise ValueError(f"mean occupation must be nonnegative, got {nbar}")
+    if not math.isfinite(nbar):
+        raise ValueError(f"nbar must be finite, got {nbar}")
     if nbar == 0.0:
         weights = np.zeros(space.cutoff)
         weights[0] = 1.0

@@ -248,15 +248,11 @@ def _fermionic_vs_bosonic_fringe(_rng) -> float:
 def _reciprocity_deviation(geom: diffraction.SlitGeometry, xs: np.ndarray) -> float:
     """|T - T'| of peak |T|, T' with source and detector swapped and z mirrored.
 
-    The source moves to (x, -screen_z), the screen to z = -source_z and the detector
-    to the source's x, so every source leg becomes a detector leg and back.
+    The sources move to (x, -screen_z) and the detector to (source_x, -source_z), so
+    every source leg becomes a detector leg and back: one slit sum over all the points.
     """
     forward = diffraction.transfer_coefficients(geom, xs)
-    (sx, sz), z = geom.source, geom.screen_z
-    swapped = [
-        diffraction.transfer_coefficients(diffraction.SlitGeometry((x, -z), geom.slits, -sz, geom.k), sx)
-        for x in xs
-    ]
+    swapped = diffraction._slit_sum((xs, -geom.screen_z), (geom.source[0], -geom.source[1]), geom.slits, geom.k)
     return np.max(np.abs(forward - swapped)) / np.abs(forward).max()
 
 

@@ -36,6 +36,7 @@ from .fock import (
     HERMITIAN_TOL,
     QuantumState,
     annihilation_op,
+    checked_int,
     checked_operator,
     checked_values,
     dagger,
@@ -199,6 +200,8 @@ def operator_derivative(
         raise ValueError("eps_sequence must contain positive values")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_sequence must be strictly decreasing")
+    if not all(math.isfinite(e) for e in eps_list):
+        raise ValueError(f"eps_sequence must be finite, got {eps_list}")
     base = h_func(quads)
     table = [(h_func(quads.shifted(which, e)) - base) / e for e in eps_list]
     for level in range(1, len(eps_list)):
@@ -318,13 +321,13 @@ def integrate_quadratures(
     with |omega| h > 1 are rejected, and up to that step the estimate stays
     below 1.00104 (cutoff 3, each of 20,000 steps recorded).
     """
-    if n_steps < 1:
+    if checked_int(n_steps, "n_steps") < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     if not 0.0 <= t_final < math.inf:
         raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
     if record_stride is None:
         record_stride = max(1, n_steps // 100)
-    elif record_stride < 1:
+    elif checked_int(record_stride, "record_stride") < 1:
         raise ValueError(f"record_stride must be at least 1, got {record_stride}")
     steps = [*range(0, n_steps, record_stride), n_steps]
     h = t_final / n_steps

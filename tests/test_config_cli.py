@@ -546,6 +546,38 @@ def test_cli_exit_code_degenerate_geometry(tmp_path, capsys):
             assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "geometry, x_min, named",
+    [
+        # sz**2 underflows, so the source sits on the slit at -5 um; the message names
+        # the source, not the first scan point.
+        (
+            {"source": [-5e-6, -1e-200], "slits": [-5e-6, 5e-6], "screen_z": 1.0, "wavelength": 500e-9},
+            -0.025,
+            "source = (-5e-06, -1e-200)",
+        ),
+        # screen_z**2 underflows, so the second scan point sits on the slit at +5 um.
+        (
+            {"slits": [-5e-6, 5e-6], "screen_z": 1e-200, "wavelength": 500e-9},
+            0.0,
+            "x_detector = 5e-06",
+        ),
+    ],
+    ids=["source_on_slit", "detector_on_slit"],
+)
+def test_cli_degenerate_leg_names_its_end(tmp_path, capsys, geometry, x_min, named):
+    out = tmp_path / "fringe.csv"
+    payload = {
+        "experiment": "fringe",
+        "geometry": geometry,
+        "scan": {"x_min": x_min, "x_max": 0.025, "n_points": 5001},
+        "output": {"path": str(out)},
+    }
+    assert main(["--config", write_config(tmp_path, payload)]) == 4
+    assert capsys.readouterr().err == f"computation error: zero-length propagation leg at {named}\n"
+    assert not out.exists()
+
+
 def test_cli_exit_code_non_finite_result(tmp_path):
     # screen_z**2 is subnormal but not 0, so the leg to the slit at +5 um is
     # tiny rather than zero and |T|^2 overflows: the table would hold inf

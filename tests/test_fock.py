@@ -266,6 +266,21 @@ def test_coherent_truncation_flag():
     assert not light.truncation_warning
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(1.0, math.inf), complex(math.nan, 1.0)])
+def test_coherent_state_refuses_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="^alpha must be finite"):
+        coherent_state(FockSpace(8), alpha)
+
+
+def test_thermal_state_refuses_non_finite_nbar():
+    for nbar in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^nbar must be finite"):
+            thermal_state(FockSpace(8), nbar)
+    # A negative one, -inf included, keeps its own message.
+    with pytest.raises(ValueError, match="^mean occupation must be nonnegative"):
+        thermal_state(FockSpace(8), -math.inf)
+
+
 def test_thermal_zero_temperature():
     state = thermal_state(FockSpace(5), 0.0)
     expected = np.zeros((5, 5), dtype=complex)

@@ -376,6 +376,21 @@ PINNED_REPORT_CHECKS = [
 ]
 
 
+def test_verification_suite_builds_no_geometry(monkeypatch):
+    # The reciprocity row swaps source and detector inside one slit sum, not by
+    # building a SlitGeometry per point.
+    built = []
+    original = SlitGeometry.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(SlitGeometry, "__post_init__", counting)
+    assert all(check.passed for check in run_verification_suite())
+    assert built == []
+
+
 def test_check_registry_is_the_pinned_report_in_order():
     assert [name for name, _, _ in oracle.CHECKS] == PINNED_REPORT_CHECKS
 

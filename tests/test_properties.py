@@ -37,6 +37,7 @@ from qfringe import (
     transition_probability_oracle,
     wavenumber,
 )
+from qfringe.diffraction import _slit_sum
 from qfringe.oracle import _expm
 from qfringe.tableio import csv_text, json_document
 
@@ -127,6 +128,8 @@ def test_transfer_is_reciprocal_in_source_and_detector(scan):
         for x in xs
     ]
     assert np.max(np.abs(forward - swapped)) <= 1e-12 * np.abs(forward).max()
+    # verify's one-call swapped sum is the per-point public-API loop, bit for bit.
+    assert np.array_equal(_slit_sum((xs, -geom.screen_z), (sx, -sz), geom.slits, geom.k), swapped)
 
 
 @PROPERTY

@@ -190,6 +190,14 @@ def test_operator_derivative_eps_validation():
         operator_derivative(lambda q: q.x, quads, "bogus")
 
 
+@pytest.mark.parametrize("eps_sequence", [(1e-2, math.nan), (math.inf, 1e-2), (math.nan,)])
+def test_operator_derivative_refuses_non_finite_eps(eps_sequence):
+    # Refused by name before any difference is formed, so no RuntimeWarning either.
+    quads = quadratures(QubitModelParams(omega=1.0, cutoff=2))
+    with pytest.raises(ValueError, match="^eps_sequence must be finite"):
+        operator_derivative(lambda q: q.x, quads, "p_x", eps_sequence=eps_sequence)
+
+
 def test_heisenberg_rhs_free_case():
     params = QubitModelParams(omega=0.0, cutoff=3)
     rhs = heisenberg_rhs(quadratures(params), params)
@@ -289,6 +297,15 @@ def test_integrator_validation():
     # |omega| h = 4: the leapfrog would grow without bound.
     with pytest.raises(ValueError, match="stability"):
         integrate_quadratures(params, 40.0, 10)
+
+
+@pytest.mark.parametrize("count", [100.0, 2.0, "100"])
+@pytest.mark.parametrize("name", ["n_steps", "record_stride"])
+def test_integrator_counts_must_be_integers(name, count):
+    # A float or string count is refused by name, not with a TypeError from range().
+    counts = {"n_steps": 100, name: count}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {count!r}$"):
+        integrate_quadratures(QubitModelParams(omega=1.0, cutoff=2), 1.0, **counts)
 
 
 @pytest.mark.parametrize("t_final", [39.99, 10.01])
