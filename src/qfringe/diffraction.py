@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, QuantumState, checked_int, checked_values, fock_state
+from .fock import FockSpace, QuantumState, _freeze, checked_int, checked_values, fock_state
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -153,7 +153,7 @@ def single_photon_fringe(geom: SlitGeometry, x_detector):
     return float(values) if values.ndim == 0 else values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FringeTable:
     """Screen scan: detector position, normalized probability, raw intensity."""
 
@@ -162,18 +162,14 @@ class FringeTable:
     raw_intensity: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        p = np.asarray(self.probability, dtype=float)
-        raw = np.asarray(self.raw_intensity, dtype=float)
+        names = ("x", "probability", "raw_intensity")
+        x, p, raw = (np.asarray(getattr(self, name), dtype=float) for name in names)
         if not (x.shape == p.shape == raw.shape) or x.ndim != 1:
             raise ValueError("columns must be 1-d arrays of equal length")
         if p.size and (p.min() < 0.0 or p.max() > 1.0 + 1e-12):
             raise ValueError("probabilities must lie in [0, 1]")
-        for arr in (x, p, raw):
-            arr.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "probability", p)
-        object.__setattr__(self, "raw_intensity", raw)
+        for name, values in zip(names, (x, p, raw)):
+            _freeze(self, name, values)
 
 
 def fringe_scan(

@@ -122,6 +122,13 @@ def checked_values(values, name: str) -> np.ndarray:
     return values
 
 
+def _freeze(record, name: str, array: np.ndarray) -> None:
+    """Set a frozen record's field to a read-only view of `array`: no copy, the caller's flags kept."""
+    view = array.view()
+    view.setflags(write=False)
+    object.__setattr__(record, name, view)
+
+
 def _check_compatible(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"operator shapes {a.shape} and {b.shape} are incompatible")
@@ -150,7 +157,7 @@ def tensor_product(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumState:
     """Pure state vector or density matrix on a truncated space.
 
@@ -164,7 +171,7 @@ class QuantumState:
     lost_weight: float = 0.0
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=complex)
+        data = np.asarray(self.data, dtype=complex)
         if not np.all(np.isfinite(data)):
             raise ValueError("state entries must be finite")
         if self.kind == "pure":
@@ -193,8 +200,7 @@ class QuantumState:
                 raise ValueError("density matrix must be positive semidefinite")
         else:
             raise ValueError(f"kind must be 'pure' or 'mixed', got {self.kind!r}")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        _freeze(self, "data", data)
 
     @property
     def dim(self) -> int:
@@ -207,7 +213,7 @@ class QuantumState:
 
 def expectation(state: QuantumState, op: np.ndarray) -> complex:
     """<psi|A|psi> for pure states, tr(rho A) for mixed ones."""
-    op = np.asarray(op, dtype=complex)
+    op = checked_operator(op, "operator", hermitian=False)
     data = state.data
     if data.shape[0] != op.shape[0]:
         raise ValueError(

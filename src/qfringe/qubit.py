@@ -35,6 +35,7 @@ from .fock import (
     FockSpace,
     HERMITIAN_TOL,
     QuantumState,
+    _freeze,
     annihilation_op,
     checked_int,
     checked_operator,
@@ -78,7 +79,7 @@ def _total_number_diagonal(dim: int) -> np.ndarray:
     return np.add.outer(levels, levels).ravel()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecondQuantizedPauli:
     """Pauli bilinears on the two-mode space; Hermitian and number-conserving."""
 
@@ -96,8 +97,7 @@ class SecondQuantizedPauli:
             # [op, N] from the diagonal N: the same terms the dense products give.
             if np.max(np.abs(op * n_total[None, :] - n_total[:, None] * op)) > HERMITIAN_TOL:
                 raise ValueError(f"{name} must conserve total excitation number")
-            op.setflags(write=False)
-            object.__setattr__(self, name, op)
+            _freeze(self, name, op)
 
 
 def schwinger_map(label: str, params: QubitModelParams) -> np.ndarray:
@@ -132,7 +132,7 @@ def hamiltonian(params: QubitModelParams) -> np.ndarray:
     return (params.omega / 2.0) * schwinger_map("Z", params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureSet:
     """Dimensionless quadratures x, p_x, y, p_y on the two-mode space."""
 
@@ -143,7 +143,7 @@ class QuadratureSet:
 
     def __post_init__(self):
         for name in ("x", "p_x", "y", "p_y"):
-            object.__setattr__(self, name, checked_operator(getattr(self, name), name, hermitian=False))
+            _freeze(self, name, checked_operator(getattr(self, name), name, hermitian=False))
             if getattr(self, name).shape != self.x.shape:  # x is set first
                 raise ValueError("all quadratures must share one dimension")
 
@@ -229,7 +229,7 @@ def heisenberg_rhs(quads: QuadratureSet, params: QubitModelParams) -> Quadrature
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionResult:
     """Leapfrog records: times, quadrature coefficients and flip probabilities.
 
@@ -242,16 +242,12 @@ class EvolutionResult:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        coefficients = np.asarray(self.coefficients, dtype=float)
-        probs = np.asarray(self.probabilities, dtype=float)
+        names = ("times", "coefficients", "probabilities")
+        times, coefficients, probs = (checked_values(getattr(self, name), name) for name in names)
         if not (coefficients.shape == (times.size, 2, 4) and probs.size == times.size):
             raise ValueError("times, coefficients and probabilities must align")
-        for name, values in (("times", times), ("coefficients", coefficients), ("probabilities", probs)):
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} must be finite")
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
+        for name, values in zip(names, (times, coefficients, probs)):
+            _freeze(self, name, values)
 
 
 def plus_state(params: QubitModelParams) -> QuantumState:

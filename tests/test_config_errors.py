@@ -175,6 +175,16 @@ def test_bad_config_names_its_field_and_exits_2(tmp_path, monkeypatch, capsys, p
     _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, payload, flags)
 
 
+def test_empty_output_override_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # Refused as an empty output.path is, with exit 2 before the run rather than exit 3 after it.
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(_text(QUBIT), output_path="")
+    assert excinfo.value.field == "output_path"
+    monkeypatch.setattr("qfringe.cli.run", lambda config: pytest.fail("the run started"))
+    err = _cli_exits_2_with_one_line(tmp_path, monkeypatch, capsys, QUBIT, ("--output", ""))
+    assert err == "config error: output_path must be a non-empty string\n"
+
+
 def test_section_the_experiment_does_not_read_is_named(tmp_path, monkeypatch, capsys):
     # compare reads no source state, so none is built: not even this 214 MB thermal rho.
     source_state = {"thermal": 0.7, "cutoff": MAX_SOURCE_CUTOFF}

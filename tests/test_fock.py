@@ -155,8 +155,30 @@ def test_expectation_real_for_hermitian():
 
 
 def test_expectation_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="state dimension 4 does not match operator 5"):
         expectation(fock_state(FockSpace(4), 0), np.eye(5))
+
+
+@pytest.mark.parametrize(
+    "state", [fock_state(FockSpace(3), 1), thermal_state(FockSpace(3), 0.5)], ids=["pure", "mixed"]
+)
+@pytest.mark.parametrize(
+    "op, message",
+    [
+        (np.ones((3, 2)), "operator must be a square matrix"),
+        (np.ones(3), "operator must be a square matrix"),
+        (np.full((3, 3), np.nan), "operator entries must be finite"),
+    ],
+    ids=["non_square", "one_d", "nan"],
+)
+def test_expectation_refuses_a_malformed_operator(state, op, message):
+    with pytest.raises(ValueError, match=message):
+        expectation(state, op)
+
+
+def test_expectation_takes_a_non_hermitian_operator():
+    space = FockSpace(30)
+    assert abs(expectation(coherent_state(space, 0.5 + 0.25j), annihilation_op(space)) - (0.5 + 0.25j)) < 1e-12
 
 
 def test_state_validation():
@@ -194,14 +216,20 @@ def traced_peak(build):
 
 def test_diagonal_density_matrix_hermiticity_read_on_the_diagonal():
     # On a diagonal matrix, rho - rho^H is exactly 2i Im(d) on the diagonal, so
-    # the check reads the diagonal: the state's own copy of rho is its only
-    # dense array, and thermal_state adds just the matrix it hands over.
+    # the check reads the diagonal: the state holds the rho it is given, and
+    # builds no dense array of its own.
     rho = np.diag(np.full(400, 1 / 400)).astype(complex)
     rho[3, 3] += 1e-9j
     with pytest.raises(ValueError, match="Hermitian"):
         QuantumState("mixed", rho)
     assert traced_peak(lambda: QuantumState("mixed", rho)) < 1.5 * rho.nbytes
     assert traced_peak(lambda: thermal_state(FockSpace(400), 0.7)) < 2.5 * rho.nbytes
+
+
+def test_thermal_state_holds_one_dense_rho():
+    # The state holds a view of the rho that thermal_state builds, not a copy of it.
+    rho_bytes = np.dtype(complex).itemsize * 1000**2
+    assert traced_peak(lambda: thermal_state(FockSpace(1000), 1.0)) <= 1.2 * rho_bytes
 
 
 def test_thermal_state_skips_the_eigensolver(monkeypatch):
