@@ -107,7 +107,7 @@ class OutputSpec:
     format: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     experiment: str
     geometry: SlitGeometry | None

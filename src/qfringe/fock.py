@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -94,11 +95,13 @@ def dagger(op: np.ndarray) -> np.ndarray:
     return np.asarray(op).conj().T
 
 
-def checked_operator(op, name: str, hermitian: bool = True) -> np.ndarray:
-    """`op` as a complex array, which must be square, finite and (by default) Hermitian."""
+def checked_operator(op, name: str, hermitian: bool = True, dim: int | None = None) -> np.ndarray:
+    """`op` as a complex array: square (`dim` x `dim` if given), finite and (by default) Hermitian."""
     op = np.asarray(op, dtype=complex)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
+    if dim is not None and op.shape[0] != dim:
+        raise ValueError(f"{name} must be {dim}x{dim}, got shape {op.shape}")
     if not np.isfinite(op).all():
         raise ValueError(f"{name} entries must be finite")
     if hermitian and np.max(np.abs(op - op.conj().T)) > HERMITIAN_TOL:
@@ -129,32 +132,23 @@ def _freeze(record, name: str, array: np.ndarray) -> None:
     object.__setattr__(record, name, view)
 
 
-def _check_compatible(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"operator shapes {a.shape} and {b.shape} are incompatible")
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    _check_compatible(a, b)
+    a = checked_operator(a, "a", hermitian=False)
+    b = checked_operator(b, "b", hermitian=False, dim=a.shape[0])
     return a @ b - b @ a
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    _check_compatible(a, b)
+    a = checked_operator(a, "a", hermitian=False)
+    b = checked_operator(b, "b", hermitian=False, dim=a.shape[0])
     return a @ b + b @ a
 
 
 def tensor_product(*ops: np.ndarray) -> np.ndarray:
+    """Kronecker product of the square factors, the first leftmost."""
     if not ops:
         raise ValueError("tensor_product needs at least one operator")
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
+    return reduce(np.kron, [checked_operator(op, f"factor {j}", hermitian=False) for j, op in enumerate(ops)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +215,9 @@ def expectation(state: QuantumState, op: np.ndarray) -> complex:
         )
     if data.ndim == 1:
         return complex(np.vdot(data, op @ data))
-    return complex(np.trace(data @ op))
+    # Only the diagonal of rho A, O(dim^2), then one sum as np.trace takes it; a full
+    # "ij,ji->" contraction sums in another order and moves the last bit.
+    return complex(np.einsum("ij,ji->i", data, op).sum())
 
 
 def fock_state(space: FockSpace, occupations) -> QuantumState:

@@ -64,7 +64,8 @@ def schrodinger_evolve(state: QuantumState, h: np.ndarray, t: float) -> QuantumS
 
 def heisenberg_conjugate(op: np.ndarray, h: np.ndarray, t) -> np.ndarray:
     u = unitary_evolution(h, t)
-    return np.swapaxes(u.conj(), -1, -2) @ np.asarray(op, dtype=complex) @ u
+    op = checked_operator(op, "operator", hermitian=False, dim=u.shape[-1])
+    return np.swapaxes(u.conj(), -1, -2) @ op @ u
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -93,7 +94,7 @@ def picture_equivalence_check(op: np.ndarray, state, h: np.ndarray, t: float) ->
     uses the Taylor scaling-and-squaring exponential `_expm`, so agreement is
     a genuine cross-check rather than a reuse of one code path.
     """
-    op = np.asarray(op, dtype=complex)
+    op = checked_operator(op, "operator", hermitian=False, dim=state.dim)
     evolved = schrodinger_evolve(state, h, t)
     lhs = expectation(evolved, op)
     u = _expm(-1j * float(t) * checked_operator(h, "Hamiltonian"))
@@ -176,10 +177,11 @@ def amplitude_variation_check(
         raise ValueError(f"eps must be positive, got {eps}")
     bra = np.asarray(bra, dtype=complex)
     ket = np.asarray(ket, dtype=complex)
+    h = checked_operator(h, "Hamiltonian", dim=ket.shape[-1])
     tau = float(t2) - float(t1)
     later, earlier, at_tau = (u @ ket for u in unitary_evolution(h, [tau + eps, tau - eps, tau]))
     finite_difference = (complex(np.vdot(bra, later)) - complex(np.vdot(bra, earlier))) / (2.0 * eps)
-    generator = -1j * complex(np.vdot(bra, np.asarray(h, dtype=complex) @ at_tau))
+    generator = -1j * complex(np.vdot(bra, h @ at_tau))
     return abs(finite_difference - generator)
 
 

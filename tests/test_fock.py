@@ -176,6 +176,25 @@ def test_expectation_refuses_a_malformed_operator(state, op, message):
         expectation(state, op)
 
 
+def test_mixed_expectation_reads_the_trace_without_a_matrix_product():
+    # Thermal states: bit for bit the full product's trace, which verify's pinned bytes were made with.
+    for cutoff in [*range(2, 70), 128]:
+        space = FockSpace(cutoff)
+        n = number_op(space)
+        for nbar in (0.0, 0.1, 0.7, 1.0, 3.0, 12.5):
+            state = thermal_state(space, nbar)
+            assert expectation(state, n) == complex(np.trace(state.data @ n)), (cutoff, nbar)
+    # Random non-diagonal states and operators: the same sum in another order.
+    rng = np.random.default_rng(29)
+    for dim in (2, 3, 7, 16, 40):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = m @ m.conj().T
+        state = QuantumState("mixed", rho / np.trace(rho).real)
+        op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        want = complex(np.trace(state.data @ op))
+        assert abs(expectation(state, op) - want) <= 1e-12 * abs(want), dim
+
+
 def test_expectation_takes_a_non_hermitian_operator():
     space = FockSpace(30)
     assert abs(expectation(coherent_state(space, 0.5 + 0.25j), annihilation_op(space)) - (0.5 + 0.25j)) < 1e-12

@@ -3,7 +3,9 @@
 import dataclasses
 import importlib
 import inspect
+import json
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 import qfringe
 from qfringe import QubitModelParams
+from qfringe.config import RunConfig, parse_config
 from qfringe.diffraction import FringeTable
 from qfringe.fock import QuantumState, _freeze
 from qfringe.qubit import EvolutionResult, QuadratureSet, SecondQuantizedPauli, quadratures, schwinger_map
@@ -58,20 +61,38 @@ def _package_modules():
     return [importlib.import_module(f"qfringe.{name}") for name in names]
 
 
-def test_every_array_record_is_frozen_and_compares_by_identity():
-    records = {
+def _dataclasses_holding(names, modules):
+    """The package's dataclasses with a field whose annotation names one of `names`."""
+    return {
         value
-        for module in _package_modules()
+        for module in modules
         for value in vars(module).values()
         if isinstance(value, type)
         and dataclasses.is_dataclass(value)
         and value.__module__ == module.__name__
-        and any(field.type in ("np.ndarray", np.ndarray) for field in dataclasses.fields(value))
+        and any(set(re.findall(r"[\w.]+", str(field.type))) & names for field in dataclasses.fields(value))
     }
+
+
+def test_every_array_record_is_frozen_and_compares_by_identity():
+    # An array record holds an np.ndarray; a record that holds an array record is ruled alike.
+    modules = _package_modules()
+    records = _dataclasses_holding({"np.ndarray", "numpy.ndarray"}, modules)
     assert records >= set(RECORDS)
-    for record in records:
+    holders = _dataclasses_holding({record.__name__ for record in records}, modules)
+    assert RunConfig in holders
+    for record in records | holders:
         params = record.__dataclass_params__
         assert params.frozen and not params.eq, record.__name__
+
+
+def test_two_parses_of_one_config_are_distinct_run_configs():
+    text = json.dumps({"experiment": "qubit", "scan": {"t_max": 6.0, "n_points": 11}})
+    first, second = parse_config(text), parse_config(text)
+    assert first != second
+    assert first == first
+    # The value records it holds keep value equality.
+    assert (first.scan, first.output, first.qubit) == (second.scan, second.output, second.qubit)
 
 
 def test_only_the_freeze_helper_sets_array_flags():
