@@ -55,7 +55,6 @@ from .qubit import (
     heisenberg_rhs,
     integrate_quadratures,
     minus_state,
-    mode_ops,
     operator_derivative,
     pauli_evolved,
     pauli_set,

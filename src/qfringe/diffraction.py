@@ -177,18 +177,17 @@ def fringe_scan(
     x_min: float,
     x_max: float,
     n_points: int,
-    mode: str = "exact",
+    *,
+    far_field: bool = False,
     state: QuantumState | None = None,
 ) -> FringeTable:
     """Uniform scan of the screen, computed by one `transfer_coefficients` call.
 
     The raw intensity column always carries the exact |transfer|^2 times the
     source occupation (1 for the default single photon); the probability
-    column is the selected fringe law: exact rows are the raw intensity
-    normalized to the scan maximum, far_field rows `single_photon_fringe`.
+    column is the selected fringe law: the raw intensity normalized to the
+    scan maximum, or `single_photon_fringe` when `far_field` is set.
     """
-    if mode not in ("exact", "far_field"):
-        raise ValueError(f"mode must be 'far_field' or 'exact', got {mode!r}")
     if checked_int(n_points, "n_points") < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")
     if not 0.0 < x_max - x_min < math.inf:
@@ -197,9 +196,9 @@ def fringe_scan(
         state = fock_state(FockSpace(2), 1)
     xs = np.linspace(float(x_min), float(x_max), n_points)
     raw = intensity_expectation(state, geom, xs)
-    if mode == "exact":
+    if far_field:
+        probs = single_photon_fringe(geom, xs)
+    else:
         peak = raw.max()
         probs = raw / peak if peak > 0.0 else raw.copy()
-    else:
-        probs = single_photon_fringe(geom, xs)
     return FringeTable(x=xs, probability=probs, raw_intensity=raw)

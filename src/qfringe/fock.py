@@ -260,12 +260,8 @@ def thermal_state(space: FockSpace, nbar: float) -> QuantumState:
         raise ValueError(f"mean occupation must be nonnegative, got {nbar}")
     if not math.isfinite(nbar):
         raise ValueError(f"nbar must be finite, got {nbar}")
-    if nbar == 0.0:
-        weights = np.zeros(space.cutoff)
-        weights[0] = 1.0
-    else:
-        ratio = nbar / (1.0 + nbar)
-        weights = np.array([ratio**n / (1.0 + nbar) for n in range(space.cutoff)])
+    ratio = nbar / (1.0 + nbar)
+    weights = np.array([ratio**n / (1.0 + nbar) for n in range(space.cutoff)])
     kept = float(weights.sum())
     lost = max(0.0, 1.0 - kept)
     rho = np.diag((weights / kept).astype(complex))

@@ -171,12 +171,13 @@ def amplitude_variation_check(
 
     Compares the centered finite difference of <bra|exp(-iH(t2-t1))|ket> in t2
     against the generator form -i <bra|H exp(-iH(t2-t1))|ket>; the residual
-    scales as eps^2.
+    scales as eps^2. `ket` and `bra` are unit vectors of one length.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    bra = np.asarray(bra, dtype=complex)
-    ket = np.asarray(ket, dtype=complex)
+    ket, bra = QuantumState("pure", ket).data, QuantumState("pure", bra).data
+    if bra.shape != ket.shape:
+        raise ValueError(f"bra must have {ket.size} entries, got shape {bra.shape}")
     h = checked_operator(h, "Hamiltonian", dim=ket.shape[-1])
     tau = float(t2) - float(t1)
     later, earlier, at_tau = (u @ ket for u in unitary_evolution(h, [tau + eps, tau - eps, tau]))

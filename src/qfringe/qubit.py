@@ -20,14 +20,14 @@ at omega/2 while the Pauli bilinears rotate at omega:
 
 Operator derivatives with respect to a quadrature are defined through the
 substitution q -> q + eps*I and extrapolation of the finite difference to
-eps -> 0, which for polynomial expressions is exact.
+eps -> 0 from three fixed nodes, which is exact up to degree 3 in q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -65,11 +65,6 @@ def two_mode_space(params: QubitModelParams) -> FockSpace:
     return FockSpace(cutoff=params.cutoff, mode_count=2)
 
 
-def mode_ops(params: QubitModelParams) -> tuple[np.ndarray, np.ndarray]:
-    space = two_mode_space(params)
-    return annihilation_op(space, 0), annihilation_op(space, 1)
-
-
 def _total_number_diagonal(dim: int) -> np.ndarray:
     """Diagonal of nx + ny in the row-major two-mode number basis."""
     cutoff = math.isqrt(dim)
@@ -101,14 +96,13 @@ class SecondQuantizedPauli:
 
 
 def schwinger_map(label: str, params: QubitModelParams) -> np.ndarray:
-    """One Pauli bilinear, exactly as the mode-operator expressions above.
+    """One Pauli bilinear, "X", "Y" or "Z", exactly as the mode-operator expressions above.
 
     X and Y are formed from ax* ay, the Kronecker product a* (x) a of one-mode
-    ladder operators: the dense product of `mode_ops` entry for entry, without its
-    O(cutoff^6) cost. ay* ax is its transpose, since its matrix elements
-    sqrt(nx + 1) sqrt(ny) are real.
+    ladder operators: the dense product of the embedded mode operators entry for
+    entry, without its O(cutoff^6) cost. ay* ax is its transpose, since its matrix
+    elements sqrt(nx + 1) sqrt(ny) are real.
     """
-    label = label.upper()
     if label in ("X", "Y"):
         a = annihilation_op(FockSpace(params.cutoff))
         hop = tensor_product(dagger(a), a)
@@ -147,20 +141,17 @@ class QuadratureSet:
             if getattr(self, name).shape != self.x.shape:  # x is set first
                 raise ValueError("all quadratures must share one dimension")
 
-    @property
-    def dim(self) -> int:
-        return self.x.shape[0]
-
     def shifted(self, which: str, eps: float) -> "QuadratureSet":
         if which not in ("x", "p_x", "y", "p_y"):
             raise ValueError(f"unknown quadrature {which!r}")
-        eye = np.eye(self.dim, dtype=complex)
+        eye = np.eye(self.x.shape[0], dtype=complex)
         return replace(self, **{which: getattr(self, which) + eps * eye})
 
 
 def quadratures(params: QubitModelParams) -> QuadratureSet:
     """Quadratures from a = (q + i p)/sqrt(2) for each mode."""
-    ax, ay = mode_ops(params)
+    space = two_mode_space(params)
+    ax, ay = annihilation_op(space, 0), annihilation_op(space, 1)
     return QuadratureSet(
         x=(ax + dagger(ax)) / _SQRT2,
         p_x=-1j * (ax - dagger(ax)) / _SQRT2,
@@ -183,30 +174,25 @@ def quadrature_hamiltonian(quads: QuadratureSet, omega: float) -> np.ndarray:
     )
 
 
+# Shifts of `operator_derivative`. Three nodes make the extrapolation exact up to degree 3
+# in the shifted quadrature: d(p_x^3/3)/dp_x is p_x^2 within 1e-11 (at most 1.4e-12 at
+# cutoffs 3, 4 and 8), while a quartic is already off by about 3.1e-8.
+_EPS_NODES = (1e-2, 5e-3, 2.5e-3)
+
+
 def operator_derivative(
-    h_func: Callable[[QuadratureSet], np.ndarray],
-    quads: QuadratureSet,
-    which: str,
-    eps_sequence: Sequence[float] = (1e-2, 5e-3, 2.5e-3),
+    h_func: Callable[[QuadratureSet], np.ndarray], quads: QuadratureSet, which: str
 ) -> np.ndarray:
     """Derivative of an operator polynomial with respect to one quadrature.
 
-    Forward differences [H(q + eps I) - H(q)] / eps are extrapolated to
-    eps -> 0 with Neville's polynomial scheme, which is exact once the number
-    of nodes exceeds the polynomial degree in the shifted variable.
+    Forward differences [H(q + eps I) - H(q)] / eps at the `_EPS_NODES` are
+    extrapolated to eps -> 0 with Neville's polynomial scheme.
     """
-    eps_list = [float(e) for e in eps_sequence]
-    if not eps_list or any(e <= 0.0 for e in eps_list):
-        raise ValueError("eps_sequence must contain positive values")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_sequence must be strictly decreasing")
-    if not all(math.isfinite(e) for e in eps_list):
-        raise ValueError(f"eps_sequence must be finite, got {eps_list}")
     base = h_func(quads)
-    table = [(h_func(quads.shifted(which, e)) - base) / e for e in eps_list]
-    for level in range(1, len(eps_list)):
-        for i in range(len(eps_list) - level):
-            e_lo, e_hi = eps_list[i], eps_list[i + level]
+    table = [(h_func(quads.shifted(which, e)) - base) / e for e in _EPS_NODES]
+    for level in range(1, len(_EPS_NODES)):
+        for i in range(len(_EPS_NODES) - level):
+            e_lo, e_hi = _EPS_NODES[i], _EPS_NODES[i + level]
             table[i] = (e_lo * table[i + 1] - e_hi * table[i]) / (e_lo - e_hi)
     return table[0]
 

@@ -41,8 +41,8 @@ class _Table:
 
 def _scan(config: RunConfig, state=None) -> FringeTable:
     """The configured screen scan; a single source photon unless `state` is given."""
-    scan, mode = config.scan, "far_field" if config.far_field else "exact"
-    return fringe_scan(config.geometry, scan.x_min, scan.x_max, scan.n_points, mode=mode, state=state)
+    geom, scan = config.geometry, config.scan
+    return fringe_scan(geom, scan.x_min, scan.x_max, scan.n_points, far_field=config.far_field, state=state)
 
 
 def _fringe_table(config: RunConfig) -> _Table:

@@ -270,6 +270,46 @@ def test_no_further_benchmark_trace_point_is_dead(monkeypatch):
     assert dead == DEAD_TRACE_POINTS
 
 
+def test_benchmark_trace_counts_bind_the_cli_calls(monkeypatch, tmp_path):
+    # The trace counts bind the calls' arguments by name, so a renamed parameter of a
+    # traced function breaks every traced benchmark run: spy with each counts function.
+    counted = []
+
+    def spy(fn, span, counts):
+        def call(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            counted.append((span, counts(fn, args, kwargs, result)))
+            return result
+
+        return call
+
+    for module, attribute, span, counts in _benchmark_module(monkeypatch, "tracing").TRACE_POINTS:
+        target = importlib.import_module(module)
+        fn = getattr(target, attribute, None)
+        if counts is not None and callable(fn):
+            monkeypatch.setattr(target, attribute, spy(fn, span, counts))
+    fringe = {
+        "experiment": "fringe",
+        "geometry": {"slits": [-5e-6, 5e-6], "screen_z": 1.0, "wavelength": 500e-9},
+        "scan": {"x_min": -0.01, "x_max": 0.01, "n_points": 5},
+    }
+    runs = [
+        (dict(fringe, source_state={"thermal": 0.4}), []),
+        (fringe, ["--far-field"]),
+        ({"experiment": "qubit", "qubit": {"cutoff": 3}, "scan": {"t_max": 1.0, "n_points": 3}}, []),
+    ]
+    for j, (payload, flags) in enumerate(runs):
+        config, out = tmp_path / f"config{j}.json", tmp_path / f"out{j}.csv"
+        config.write_text(json.dumps(payload))
+        assert main(["--config", str(config), "--output", str(out), *flags]) == 0
+        assert counted.pop() == ("tableio.serialize", {"bytes": out.stat().st_size})
+    assert counted == [
+        ("diffraction.fringe_scan", {"legs": 10, "state": "mixed"}),
+        ("diffraction.fringe_scan", {"legs": 10, "state": "pure"}),
+        ("qubit.transition_probability", {"cutoff": 3}),
+    ]
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("workload", ["screen_scan", "qubit_curve", "cli_sweep"])
 def test_benchmark_invocations_parse(monkeypatch, workload, seed):

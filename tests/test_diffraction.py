@@ -291,19 +291,23 @@ def test_far_field_vs_exact_in_fraunhofer_regime():
     assert geom.screen_z / (2 * SLIT_HALF_SEPARATION) > 1e4
     xs = np.linspace(-0.025, 0.025, 101)
     far = single_photon_fringe(geom, xs)
-    exact = fringe_scan(geom, -0.025, 0.025, 101).probability
-    assert np.max(np.abs(far - exact)) < 1e-3
+    exact = fringe_scan(geom, -0.025, 0.025, 101)
+    assert np.max(np.abs(far - exact.probability)) < 1e-3
+    # The far_field flag swaps the probability column's law and leaves the raw column as it is.
+    scan = fringe_scan(geom, -0.025, 0.025, 101, far_field=True)
+    assert scan.probability.tobytes() == far.tobytes()
+    assert scan.raw_intensity.tobytes() == exact.raw_intensity.tobytes()
 
 
 def test_fringe_scan_mirror_symmetry():
-    table = fringe_scan(canonical_geometry(), -0.02, 0.02, 81, mode="exact")
+    table = fringe_scan(canonical_geometry(), -0.02, 0.02, 81)
     assert np.max(np.abs(table.probability - table.probability[::-1])) < 1e-12
     assert np.max(np.abs(table.x + table.x[::-1])) < 1e-17
 
 
 def test_fringe_scan_spacing_matches_textbook_formula():
     geom = canonical_geometry()
-    table = fringe_scan(geom, -0.12, 0.12, 4801, mode="far_field")
+    table = fringe_scan(geom, -0.12, 0.12, 4801, far_field=True)
     probs = table.probability
     peaks = [
         table.x[i]
@@ -318,7 +322,7 @@ def test_fringe_scan_spacing_matches_textbook_formula():
 
 def test_fringe_scan_two_point_rows():
     geom = canonical_geometry()
-    table = fringe_scan(geom, 0.0, 0.0125, 2, mode="far_field")
+    table = fringe_scan(geom, 0.0, 0.0125, 2, far_field=True)
     assert table.probability[0] == 1.0
     assert table.probability[1] == pytest.approx(0.5000613521945183, abs=1e-12)
     assert table.raw_intensity[0] == pytest.approx(
@@ -334,8 +338,8 @@ def test_fringe_scan_validation():
         fringe_scan(geom, 0.01, 0.0, 5)
     with pytest.raises(ValueError, match="finite width"):  # used to warn, then blame x_detector
         fringe_scan(geom, -1.7e308, 1.7e308, 5)
-    with pytest.raises(ValueError):
-        fringe_scan(geom, 0.0, 0.01, 5, mode="bogus")
+    with pytest.raises(TypeError):  # keyword-only: a string such as "exact" there would be a true flag
+        fringe_scan(geom, 0.0, 0.01, 5, "exact")
 
 
 def test_fringe_scan_takes_an_integer_point_count():
@@ -362,7 +366,7 @@ def test_wavenumber_of_the_smallest_wavelength_with_a_finite_k():
 def test_fringe_scan_vacuum_source():
     geom = canonical_geometry()
     vacuum = fock_state(FockSpace(4), 0)
-    table = fringe_scan(geom, -0.01, 0.01, 11, mode="exact", state=vacuum)
+    table = fringe_scan(geom, -0.01, 0.01, 11, state=vacuum)
     assert np.all(table.probability == 0.0)
     assert np.all(table.raw_intensity == 0.0)
 

@@ -329,10 +329,12 @@ def test_thermal_state_refuses_non_finite_nbar():
 
 
 def test_thermal_zero_temperature():
-    state = thermal_state(FockSpace(5), 0.0)
-    expected = np.zeros((5, 5), dtype=complex)
-    expected[0, 0] = 1.0
-    assert np.array_equal(state.data, expected)
+    for cutoff in (2, 5, 64):
+        state = thermal_state(FockSpace(cutoff), 0.0)
+        expected = np.zeros((cutoff, cutoff), dtype=complex)
+        expected[0, 0] = 1.0
+        assert np.array_equal(state.data, expected)
+        assert state.lost_weight == 0.0
 
 
 def test_thermal_occupation_against_partial_geometric():

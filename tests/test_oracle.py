@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -333,6 +334,26 @@ def test_amplitude_variation_eps_validation():
         amplitude_variation_check(ket, ket, np.zeros((2, 2)), 0.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="eps must be positive"):
         amplitude_variation_check(ket, ket, np.zeros((2, 2)), 0.0, 1.0, math.nan)
+
+
+_UP, _DOWN = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "ket, bra, message",
+    [
+        (np.array([math.nan, 0.0]), _DOWN, "state entries must be finite"),
+        (_UP, np.array([0.0, math.nan]), "state entries must be finite"),
+        (np.array([3.0, 0.0]), _DOWN, "pure state must have unit norm"),
+        (_UP, np.array([0.0, 1.0, 0.0]), "bra must have 2 entries, got shape (3,)"),
+    ],
+    ids=["nan_ket", "nan_bra", "unnormalized_ket", "bra_of_another_length"],
+)
+def test_amplitude_variation_takes_states_through_the_state_intake(monkeypatch, ket, bra, message):
+    # Refused before any evolution; these used to give NaN, a scaled residual or a reshape error.
+    monkeypatch.setattr(oracle, "unitary_evolution", lambda *args: pytest.fail("evolved a refused state"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        amplitude_variation_check(ket, bra, np.diag([0.5, -0.5]), 0.0, 0.7, 1e-4)
 
 
 def test_verification_suite_all_pass():

@@ -90,7 +90,7 @@ source_states = st.one_of(
 @given(slit_scans(), source_states)
 def test_exact_probabilities_lie_in_unit_interval(scan, state):
     geom, half_width = scan
-    probs = fringe_scan(geom, -half_width, half_width, 201, mode="exact", state=state).probability
+    probs = fringe_scan(geom, -half_width, half_width, 201, state=state).probability
     assert probs.min() >= 0.0
     assert probs.max() == 1.0
     if geom.slit_count == 2:

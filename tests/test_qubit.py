@@ -78,8 +78,9 @@ def test_single_excitation_blocks_are_pauli_matrices():
 
 
 def test_schwinger_map_label_validation():
-    with pytest.raises(ValueError):
-        schwinger_map("W", QubitModelParams(omega=1.0, cutoff=2))
+    for label in ("W", "x"):  # labels are upper case only
+        with pytest.raises(ValueError, match="^label must be 'X', 'Y' or 'Z'"):
+            schwinger_map(label, QubitModelParams(omega=1.0, cutoff=2))
 
 
 def test_structure_constant_sign_by_brute_force():
@@ -152,9 +153,20 @@ def test_operator_derivative_quadratic_is_exact():
     def kinetic(q):
         return q.p_x @ q.p_x / 2.0
 
-    for eps_sequence in ((0.5, 0.25), (1e-3, 5e-4), (0.2, 0.1, 0.05)):
-        deriv = operator_derivative(kinetic, quads, "p_x", eps_sequence)
-        assert np.max(np.abs(deriv - quads.p_x)) < 1e-12
+    deriv = operator_derivative(kinetic, quads, "p_x")
+    assert np.max(np.abs(deriv - quads.p_x)) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [3, 4, 8])
+def test_operator_derivative_is_exact_up_to_degree_three(cutoff):
+    # Three extrapolation nodes: a cubic's derivative comes out exact to rounding
+    # (at most 1.4e-12 here), a quartic's is off by about 3.1e-8.
+    quads = quadratures(QubitModelParams(omega=1.0, cutoff=cutoff))
+    p, p2 = quads.p_x, quads.p_x @ quads.p_x
+    cubic = operator_derivative(lambda q: q.p_x @ q.p_x @ q.p_x / 3.0, quads, "p_x")
+    assert np.max(np.abs(cubic - p2)) < 1e-11
+    quartic = operator_derivative(lambda q: q.p_x @ q.p_x @ q.p_x @ q.p_x / 4.0, quads, "p_x")
+    assert 1e-8 < np.max(np.abs(quartic - p2 @ p)) < 1e-7
 
 
 def test_operator_derivative_matches_commutator_oracle():
@@ -183,19 +195,7 @@ def test_operator_derivative_eps_validation():
     params = QubitModelParams(omega=1.0, cutoff=2)
     quads = quadratures(params)
     with pytest.raises(ValueError):
-        operator_derivative(lambda q: q.x, quads, "p_x", eps_sequence=())
-    with pytest.raises(ValueError):
-        operator_derivative(lambda q: q.x, quads, "p_x", eps_sequence=(1e-2, 1e-2))
-    with pytest.raises(ValueError):
         operator_derivative(lambda q: q.x, quads, "bogus")
-
-
-@pytest.mark.parametrize("eps_sequence", [(1e-2, math.nan), (math.inf, 1e-2), (math.nan,)])
-def test_operator_derivative_refuses_non_finite_eps(eps_sequence):
-    # Refused by name before any difference is formed, so no RuntimeWarning either.
-    quads = quadratures(QubitModelParams(omega=1.0, cutoff=2))
-    with pytest.raises(ValueError, match="^eps_sequence must be finite"):
-        operator_derivative(lambda q: q.x, quads, "p_x", eps_sequence=eps_sequence)
 
 
 def test_heisenberg_rhs_free_case():
